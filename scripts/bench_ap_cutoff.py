@@ -1,10 +1,12 @@
 #!/usr/bin/env python3
 """Experiment: active-prefixes solve time versus the short-string cutoff.
 
-The solver routes strings of length at most `cutoff` through the naive
-per-length path and everything longer through the type-partitioned
-machinery.  This sweep fixes one instance family and varies the cutoff,
-comparing against the literal quadratic oracle.
+With an explicit cutoff (at least 23) the solver routes strings of
+length at most `cutoff` through the occurrence-mask kernel and
+everything longer through the paper's type-partitioned machinery; the
+solver default (no cutoff) sends every string shorter than the pattern
+through the kernel.  This sweep fixes one instance family and varies the
+cutoff, comparing against the literal quadratic oracle.
 
 Usage:
     python3 scripts/bench_ap_cutoff.py --out results/ap_cutoff.csv
@@ -31,7 +33,7 @@ class CutoffConfig:
     string_len_lo: int = 40
     string_len_hi: int = 200
     substring_prob: float = 0.5
-    cutoffs: tuple[int | None, ...] = (23, 64, 256, None)  # None = solver default
+    cutoffs: tuple[int | None, ...] = (23, 64, 256, None)  # None = kernel only
     seed: int = 0
 
 

@@ -2,10 +2,18 @@
 
 Given a pattern P, a bit vector U of active prefix lengths and a string
 set S, compute V with V[j]=1 iff some U[i]=1 extends by a member to
-P[1..j].  Short strings go through a suffix-tree + sliding-window naive
-path; longer strings are partitioned into geometric length classes, each
-member classified by the periodicity of its length-ell windows, and the
-three class solvers run:
+P[1..j].
+
+By default every member shorter than P goes through one occurrence-mask
+kernel: occ(s) marks the start positions of s in P (found with
+``str.find``), and V |= ((U << 1) & occ(s)) << (|s| - 1).  The masks are
+cached per solver within a fixed memory budget.
+
+An explicit ``naive_cutoff`` (at least 23) selects the paper's classed
+pipeline instead for members longer than the cutoff: they are
+partitioned into geometric length classes, each member classified by
+the periodicity of its length-ell windows, and the three class solvers
+run:
 
 * type 1 (no strongly periodic window): anchor windows chosen by node
   selection, per-anchor tries, heavy-path red/blue dominance, batched
@@ -21,7 +29,7 @@ from __future__ import annotations
 
 import math
 from collections import defaultdict
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -45,8 +53,6 @@ __all__ = [
     "APSolver",
     "LengthClass",
     "NAIVE_CUTOFF_BASE",
-    "RedBluePoint",
-    "AuxTriple",
     "decompose_dominance",
     "naive_short",
     "partition_classes",
@@ -57,6 +63,16 @@ __all__ = [
 ]
 
 NAIVE_CUTOFF_BASE = 23
+
+# Budget of one solver's occurrence-mask cache, in bytes: each entry
+# counts its key's letters, its m-bit mask and _ENTRY_OVERHEAD bytes for
+# the objects and the dict slot.  Over a stream of distinct strings the
+# cache is cleared whenever the next entry would exceed the budget.
+OCC_CACHE_BYTES = 1 << 23
+_ENTRY_OVERHEAD = 128
+# Budget of one solver's anchor-structure cache, in anchor occurrences:
+# an anchor's two tries hold O(1) nodes per occurrence.
+ANCHOR_CACHE_OCCURRENCES = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -77,19 +93,20 @@ class LengthClass:
     members: tuple[str, ...]
 
 
-@dataclass(frozen=True)
-class RedBluePoint:
-    color: str  # "red" or "blue"
-    x: int
-    y: int
-    payload: object  # red: occurrence position i; blue: (string, split j)
+class _BudgetCache(dict):
+    """Dict that empties itself when an insertion would exceed its budget."""
 
+    def __init__(self, budget: int):
+        super().__init__()
+        self.budget = budget
+        self.used = 0
 
-@dataclass(frozen=True)
-class AuxTriple:
-    i: int
-    x: int
-    y: int
+    def put(self, key, value, cost: int) -> None:
+        if self.used + cost > self.budget:
+            self.clear()
+            self.used = 0
+        self[key] = value
+        self.used += cost
 
 
 def _ceil_log2(m: int) -> int:
@@ -199,13 +216,15 @@ class APSolver:
         self.p = letters
         self.m = len(letters)
         if naive_cutoff is None:
-            naive_cutoff = max(NAIVE_CUTOFF_BASE, _ceil_log2(self.m) ** 3)
+            # Every member shorter than P takes the occurrence-mask kernel.
+            naive_cutoff = max(NAIVE_CUTOFF_BASE, self.m)
         if naive_cutoff < NAIVE_CUTOFF_BASE:
             raise ValueError(f"cutoff below {NAIVE_CUTOFF_BASE} breaks class arithmetic")
         self.cutoff = naive_cutoff
         self._st: SuffixTree | None = None
         self._st_rev: SuffixTree | None = None
-        self._anchor_cache: dict = {}
+        self._occ_cache = _BudgetCache(OCC_CACHE_BYTES)
+        self._anchor_cache = _BudgetCache(ANCHOR_CACHE_OCCURRENCES)
 
     @property
     def st(self) -> SuffixTree:
@@ -231,8 +250,8 @@ class APSolver:
         for s in set(strings):
             if s == "":
                 vmask |= umask
-            elif len(s) > self.m:
-                continue  # cannot extend any prefix within P
+            elif len(s) >= self.m:
+                continue  # cannot extend a nonempty prefix within P
             elif len(s) <= self.cutoff:
                 short.append(s)
             else:
@@ -251,25 +270,32 @@ class APSolver:
                 vmask |= self._solve_type3(umask, groups[TypeLabel.Type3], cls.ell)
         return BitVector(self.m, vmask)
 
-    # -- naive short path --------------------------------------------------
+    # -- occurrence-mask kernel --------------------------------------------
 
-    def _naive_short(self, umask: int, strings: list[str]) -> int:
-        by_len: dict[int, set[str]] = defaultdict(set)
-        for s in strings:
-            by_len[len(s)].add(s)
+    def _naive_short(self, umask: int, strings) -> int:
+        """OR over s of ((U << 1) & occ(s)) << (|s| - 1).
+
+        Bit k of occ(s) is set when s occurs in P at 0-based offset k,
+        which extends the active prefix of length k (bit k - 1 of U) to
+        length k + |s|.  As k + |s| <= m, no bit past m - 1 is set.
+        """
+        p = self.p
+        cache = self._occ_cache
+        entry_cost = self.m // 8 + _ENTRY_OVERHEAD
+        shifted = umask << 1
         vmask = 0
-        p, m = self.p, self.m
-        ones = _mask_ones(umask)
-        for t_len, strset in by_len.items():
-            # Mark which strings occur in P at all (set of its length-t
-            # windows doubles as the marked suffix-tree loci), then slide.
-            windows = {p[w : w + t_len] for w in range(m - t_len + 1)}
-            marked = strset & windows
-            if not marked:
-                continue
-            for i in ones:
-                if i + t_len <= m and p[i : i + t_len] in marked:
-                    vmask |= 1 << (i + t_len - 1)
+        for s in strings:
+            occ = cache.get(s)
+            if occ is None:
+                occ = 0
+                k = p.find(s)
+                while k >= 0:
+                    occ |= 1 << k
+                    k = p.find(s, k + 1)
+                cache.put(s, occ, len(s) + entry_cost)
+            hit = shifted & occ
+            if hit:
+                vmask |= hit << (len(s) - 1)
         return vmask
 
     # -- type 1 ------------------------------------------------------------
@@ -349,8 +375,7 @@ class APSolver:
             struct = self._anchor_cache.get(anchor)
             if struct is None:
                 struct = build_anchor_structure(self.st, self.st_rev, anchor)
-                self._anchor_cache[anchor] = struct
-            struct.pairs = list(plist)
+                self._anchor_cache.put(anchor, struct, len(struct.occurrences))
             red_by_path: dict[tuple, list] = defaultdict(list)
             before_leaves = {
                 leaf.decoration: leaf
@@ -501,16 +526,6 @@ class APSolver:
                 if e <= t_hi:
                     vmask |= 1 << (sigma + e - 1)
         return vmask & full
-
-
-def _mask_ones(mask: int) -> list[int]:
-    out, i = [], 1
-    while mask:
-        if mask & 1:
-            out.append(i)
-        mask >>= 1
-        i += 1
-    return out
 
 
 def _heads_above(leaf) -> list[tuple[int, int]]:

@@ -23,7 +23,7 @@ from .ap_engine import APSolver
 from .eds_core import BitVector, EDString, Pattern, Segment
 from .oracles import brute_ap
 
-__all__ = ["MatchReport", "MatchState", "EDSMEngine", "process_segment", "search"]
+__all__ = ["MatchReport", "MatchState", "EDSMEngine", "search"]
 
 
 @dataclass
@@ -157,8 +157,3 @@ def search(p: Pattern | str, t: EDString | Iterable[Segment],
     engine = EDSMEngine(p, ap_mode, naive_cutoff)
     segments = t.segments if isinstance(t, EDString) else t
     return engine.search(segments)
-
-
-def process_segment(state: MatchState, seg: Segment, j: int,
-                    p: Pattern | str) -> MatchState:
-    return EDSMEngine(p).process_segment(state, seg, j)

@@ -9,7 +9,7 @@ ancestors.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterator, Optional
 
 __all__ = [
@@ -265,10 +265,6 @@ class CompactTrie:
                 stack.extend(x.children.values())
         return out
 
-    @property
-    def leaf_count(self) -> int:
-        return sum(1 for n in self.nodes if n.is_leaf())
-
     def heavy_paths_above(self, node: Node) -> int:
         count, cur = 0, node
         while cur is not None:
@@ -344,13 +340,12 @@ def weighted_ancestor(st: CompactTrie, u: Node, depth: int) -> Node:
 
 @dataclass
 class AnchorStructure:
-    """Per-anchor pair of tries plus the (string, split) pair list."""
+    """Per-anchor pair of tries over the contexts of its occurrences."""
 
     anchor: str
     occurrences: list[int]  # 1-based starts of the anchor in the pattern
     trie_after: CompactTrie  # suffixes following each occurrence, decorated i
     trie_before: CompactTrie  # reversed prefixes preceding each occurrence
-    pairs: list[tuple[str, int]] = field(default_factory=list)
 
 
 def build_anchor_structure(

@@ -1,8 +1,11 @@
+import itertools
 import random
 
 import pytest
 
+from edsm import ap_engine
 from edsm.ap_engine import (
+    OCC_CACHE_BYTES,
     APInstance,
     APSolver,
     decompose_dominance,
@@ -13,7 +16,7 @@ from edsm.ap_engine import (
     solve_type2,
     solve_type3,
 )
-from edsm.eds_core import BitVector, Pattern
+from edsm.eds_core import BitVector, Pattern, encode_symbol
 from edsm.oracles import brute_ap
 from edsm.stringology import TypeLabel
 
@@ -36,6 +39,41 @@ def random_instance(rng: random.Random, max_m: int, embed: bool = True) -> APIns
     return APInstance(Pattern(letters), u, tuple(strings))
 
 
+TAGGED = "a" + encode_symbol(1, 0) + encode_symbol(5, 9)
+
+
+def adversarial_instances(rng: random.Random):
+    """Periodic patterns, m = 1, members of length m - 1, m and m + 1,
+    members with many overlapping occurrences, empty and full U, and
+    tagged private-use-area symbols."""
+    patterns = [
+        "a",
+        "b",
+        "a" * 40,
+        "ab" * 30,
+        "aab" * 25,
+        "abaababa" * 12,
+        "".join(rng.choice("ab") for _ in range(90)),
+        "".join(rng.choice(TAGGED) for _ in range(70)),
+        (TAGGED * 20)[:57],
+    ]
+    for letters in patterns:
+        m = len(letters)
+        alphabet = sorted(set(letters) | {"a"})
+        doubled = letters + letters
+        for umask in (0, (1 << m) - 1, rng.getrandbits(m)):
+            strings = {"", letters}
+            lengths = {1, 2, m - 1, m, m + 1, *rng.sample(range(1, m + 2), min(m + 1, 6))}
+            for length in lengths:
+                if length < 1:
+                    continue
+                start = rng.randrange(m)
+                strings.add(doubled[start : start + length])  # periodic extension
+                strings.add(letters[0] * length)
+                strings.add("".join(rng.choice(alphabet) for _ in range(length)))
+            yield APInstance(Pattern(letters), BitVector(m, umask), tuple(strings))
+
+
 class TestGolden:
     def test_published_example(self):
         v = solve_ap(
@@ -54,6 +92,13 @@ class TestSolveAp:
         for _ in range(400):
             inst = random_instance(rng, 64)
             assert solve_ap(inst) == brute_ap(inst.pattern, inst.u, inst.strings)
+
+    def test_differential_adversarial_families(self):
+        rng = random.Random(7)
+        for inst in adversarial_instances(rng):
+            want = brute_ap(inst.pattern, inst.u, inst.strings)
+            assert solve_ap(inst) == want
+            assert solve_ap(inst, naive_cutoff=23) == want
 
     def test_differential_classed_pipeline(self):
         # Forcing the smallest legal cutoff routes lengths in [24, m]
@@ -85,6 +130,70 @@ class TestSolveAp:
                 for s in rng.sample(range(60), 3)
             ]
             assert solver.solve(u, strings) == brute_ap(p, u, strings)
+
+
+class TestRouting:
+    def test_default_route_builds_no_suffix_tree(self):
+        # m = 1024 > ceil(log2 m)^3 = 1000: members of 1001..1023 letters
+        # are past the old default cutoff but still take the kernel.
+        rng = random.Random(8)
+        m = 1024
+        p = "".join(rng.choice("ab") for _ in range(m))
+        strings = []
+        for _ in range(4):
+            length = rng.randint(1001, m - 1)
+            start = rng.randrange(m - length + 1)
+            strings.append(p[start : start + length])
+        u = BitVector(m, rng.getrandbits(m))
+        want = brute_ap(p, u, strings)
+        default = APSolver(p)
+        assert default.solve(u, strings) == want
+        assert default._st is None and default._st_rev is None
+        paper = APSolver(p, naive_cutoff=23)
+        assert paper.solve(u, strings) == want
+        assert paper._st is not None and paper._st_rev is not None
+
+    def test_occurrence_cache_stays_within_budget(self):
+        # 2^16 distinct members of 16 letters cost more than the budget.
+        rng = random.Random(9)
+        p = Pattern("".join(rng.choice("ab") for _ in range(64)))
+        solver = APSolver(p)
+        members = ["".join(bits) for bits in itertools.product("ab", repeat=16)]
+        cost = 16 + p.m // 8 + ap_engine._ENTRY_OVERHEAD
+        assert len(members) * cost > OCC_CACHE_BYTES
+        for start in range(0, len(members), 4096):
+            u = BitVector(p.m, rng.getrandbits(p.m))
+            batch = members[start : start + 4096]
+            assert solver.solve(u, batch) == brute_ap(p, u, batch)
+            assert solver._occ_cache.used <= OCC_CACHE_BYTES
+        assert len(solver._occ_cache) < len(members)
+
+    def test_anchor_cache_stays_within_budget(self, monkeypatch):
+        # The real budget takes thousands of anchor builds to reach, so a
+        # small one stands in for it; the solver reads it at construction.
+        monkeypatch.setattr(ap_engine, "ANCHOR_CACHE_OCCURRENCES", 8)
+        built = []
+        build = ap_engine.build_anchor_structure
+
+        def counted(*args):
+            built.append(build(*args))
+            return built[-1]
+
+        monkeypatch.setattr(ap_engine, "build_anchor_structure", counted)
+        rng = random.Random(10)
+        p = Pattern("".join(rng.choice("ab") for _ in range(200)))
+        solver = APSolver(p, naive_cutoff=23)
+        for _ in range(30):
+            u = BitVector(p.m, rng.getrandbits(p.m))
+            strings = [
+                p.letters[s : s + rng.randint(24, 60)]
+                for s in rng.sample(range(140), 3)
+            ]
+            assert solver.solve(u, strings) == brute_ap(p, u, strings)
+            cache = solver._anchor_cache
+            assert cache.used == sum(len(a.occurrences) for a in cache.values())
+            assert cache.used <= 8 or len(cache) == 1
+        assert sum(len(a.occurrences) for a in built) > 8
 
 
 class TestNaiveShort:

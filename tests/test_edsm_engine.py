@@ -90,6 +90,46 @@ class TestDifferential:
                 got_states.append(set(state.u.ones()))
             assert got_states == brute_active_states(p, t.segments)
 
+    @pytest.mark.parametrize("cutoff", [None, 23])
+    def test_state_matches_prefix_recursion_long_patterns(self, cutoff):
+        # m >= 24, so that naive_cutoff=23 sends members through the
+        # classed type-1/2/3 route, next to the default kernel.
+        rng = random.Random(24)
+        for _ in range(30):
+            m = rng.randint(24, 120)
+            # Periodic, a periodic run between aperiodic flanks, or random.
+            root = "".join(rng.choice("ab") for _ in range(rng.randint(1, 5)))
+            flank = "".join(rng.choice("ab") for _ in range(m))
+            kind = rng.randrange(3)
+            if kind == 0:
+                letters = (root * m)[:m]
+            elif kind == 1:
+                letters = (flank[:8] + root * m)[: m - 8] + flank[-8:]
+            else:
+                letters = flank
+            # Plant P across consecutive segments, cut at random points,
+            # beside substrings of P of every length up to m + 1.
+            cuts = sorted(rng.sample(range(1, m), rng.randint(1, 4)))
+            pieces = [letters[a:b] for a, b in zip([0, *cuts], [*cuts, m])]
+            pieces[0] = "".join(rng.choice("ab") for _ in range(3)) + pieces[0]
+            segs = []
+            for piece in pieces:
+                alts = {piece}
+                for _ in range(rng.randint(0, 3)):
+                    length = rng.randint(1, m + 1)
+                    start = rng.randrange(max(1, m - length + 1))
+                    alts.add(letters[start : start + length])
+                if rng.random() < 0.3:
+                    alts.add("")
+                segs.append(Segment(frozenset(alts)))
+            engine = EDSMEngine(letters, naive_cutoff=cutoff)
+            state = engine.new_state()
+            got_states = []
+            for j, seg in enumerate(segs, 1):
+                state = engine.process_segment(state, seg, j)
+                got_states.append(set(state.u.ones()))
+            assert got_states == brute_active_states(letters, segs)
+
     def test_long_patterns_exercise_fast_ap(self):
         rng = random.Random(23)
         for _ in range(25):
