@@ -54,7 +54,6 @@ __all__ = [
     "LengthClass",
     "NAIVE_CUTOFF_BASE",
     "decompose_dominance",
-    "naive_short",
     "partition_classes",
     "solve_ap",
     "solve_type1",
@@ -257,7 +256,7 @@ class APSolver:
             else:
                 classed.append(s)
         if short:
-            vmask |= self._naive_short(umask, short)
+            vmask |= self._occ_kernel(umask, short)
         for cls in partition_classes(classed, self.m) if classed else []:
             groups: dict[TypeLabel, list[str]] = defaultdict(list)
             for s in cls.members:
@@ -272,7 +271,7 @@ class APSolver:
 
     # -- occurrence-mask kernel --------------------------------------------
 
-    def _naive_short(self, umask: int, strings) -> int:
+    def _occ_kernel(self, umask: int, strings) -> int:
         """OR over s of ((U << 1) & occ(s)) << (|s| - 1).
 
         Bit k of occ(s) is set when s occurs in P at 0-based offset k,
@@ -544,22 +543,6 @@ def _heads_above(leaf) -> list[tuple[int, int]]:
 def solve_ap(inst: APInstance, naive_cutoff: int | None = None) -> BitVector:
     solver = APSolver(inst.pattern, naive_cutoff)
     return solver.solve(inst.u, inst.strings)
-
-
-def naive_short(inst: APInstance, t: int) -> BitVector:
-    solver = APSolver(inst.pattern)
-    vmask = 0
-    strings = []
-    for s in set(inst.strings):
-        if len(s) > t:
-            raise ValueError(f"string of length {len(s)} exceeds bound {t}")
-        if s == "":
-            vmask |= inst.u.mask
-        else:
-            strings.append(s)
-    if strings:
-        vmask |= solver._naive_short(inst.u.mask, strings)
-    return BitVector(inst.pattern.m, vmask)
 
 
 def _typed_entry(p, u: BitVector, members, ell: int, label: TypeLabel) -> BitVector:

@@ -7,10 +7,13 @@ Subcommands:
   together with a JSON ground-truth sidecar;
 * ``verify``   — re-solve a generated instance with both the fast engine and
   the brute-force oracle and compare against the sidecar;
-* ``bench``    — CSV timing sweep across instance sizes and algorithms.
+* ``bench``    — CSV timing sweep across instance sizes and algorithms:
+  ``ap-fast`` (the default engine), ``ap-paper`` (the paper's classed
+  Active Prefixes pipeline, ``naive_cutoff=23``) and ``naive-oracle``;
+  after each size every algorithm that ran must give the same answer.
 
 Exit codes: 0 success (search: at least one match), 1 search found no
-match, 2 usage/parse/runtime error, 3 verification disagreement.
+match, 2 usage/parse/runtime error, 3 disagreement (verify, bench).
 """
 
 from __future__ import annotations
@@ -23,11 +26,13 @@ import sys
 import time
 from pathlib import Path
 
-from .ap_engine import APInstance, solve_ap
+from .ap_engine import NAIVE_CUTOFF_BASE, APInstance, solve_ap
 from .boolean_linalg import BoolMatrix
 from .eds_core import (
+    BitVector,
     EDSParseError,
     EDString,
+    Pattern,
     Segment,
     iter_parse_eds,
     parse_eds,
@@ -94,8 +99,7 @@ def cmd_search(args: argparse.Namespace) -> int:
                 positions = tuple(brute_edsm(pattern, text, window_cap=text.n))
                 n, total = text.n, text.N
             else:
-                engine = EDSMEngine(pattern, ap_mode="fast")
-                report = engine.search(iter_parse_eds(fh))
+                report = EDSMEngine(pattern).search(iter_parse_eds(fh))
                 positions, n, total = report.positions, report.n, report.N
     except EDSParseError as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -241,8 +245,7 @@ def _verify_td(out: str, sidecar: dict) -> int:
         print("disagreement: sidecar triangle flag does not match its matrices",
               file=sys.stderr)
         return 3
-    engine = EDSMEngine(pattern, ap_mode="fast")
-    fast = bool(engine.search(text.segments).positions)
+    fast = bool(EDSMEngine(pattern).search(text.segments).positions)
     oracle = bool(brute_edsm(pattern, text, window_cap=text.n))
     for name, got in (("fast engine", fast), ("oracle", oracle)):
         if got != want:
@@ -324,79 +327,102 @@ def _random_eds(rng: random.Random, target: int) -> tuple[str, EDString]:
     return pattern, EDString(tuple(segments))
 
 
-def _bench_edsm(args: argparse.Namespace, writer) -> None:
-    for size in args.sizes:
-        rng = random.Random(args.seed * 1_000_003 + size)
-        pattern, text = _random_eds(rng, size)
-        for algo in args.algos:
-            if algo == "naive-oracle":
-                start = time.perf_counter()
-                try:
-                    brute_edsm(pattern, text, window_cap=text.n)
-                except BudgetExceededError:
-                    writer.writerow([len(pattern), text.n, text.N, algo, "skipped"])
-                    continue
-                elapsed = time.perf_counter() - start
-            else:
-                engine = EDSMEngine(pattern, ap_mode="fast")
-                start = time.perf_counter()
-                engine.search(text.segments)
-                elapsed = time.perf_counter() - start
-            writer.writerow([len(pattern), text.n, text.N, algo, f"{elapsed:.6f}"])
+# Bench algorithm -> naive_cutoff of the Active Prefixes solver it runs:
+# None is the default occurrence-mask kernel, NAIVE_CUTOFF_BASE sends
+# every string longer than 23 letters through the paper's classed
+# pipeline.  "naive-oracle" runs the quadratic oracles instead.
+_BENCH_CUTOFFS = {"ap-fast": None, "ap-paper": NAIVE_CUTOFF_BASE}
+_BENCH_ALGOS = (*_BENCH_CUTOFFS, "naive-oracle")
+
+
+def _edsm_bench_instance(rng: random.Random, size: int):
+    pattern, text = _random_eds(rng, size)
+
+    def run(algo: str) -> tuple[int, ...]:
+        if algo == "naive-oracle":
+            return tuple(brute_edsm(pattern, text, window_cap=text.n))
+        engine = EDSMEngine(pattern, naive_cutoff=_BENCH_CUTOFFS[algo])
+        return engine.search(text.segments).positions
+
+    return [len(pattern), text.n, text.N], run
 
 
 def _random_ap(rng: random.Random, m: int, target: int) -> APInstance:
-    from .eds_core import BitVector, Pattern
-
+    """About `target` letters of strings shorter than m, half of them
+    substrings of the pattern: 64-128 letters, or m/2 to m-1 for m <= 128."""
     letters = "".join(rng.choice("ab") for _ in range(m))
     u = BitVector(m, rng.getrandbits(m) | 1)
+    hi = min(128, m - 1)
+    lo = max(1, min(64, hi // 2))
     strings = set()
-    total = 0
-    while total < target:
-        length = rng.randint(64, 128)
-        start = rng.randrange(m - length) if rng.random() < 0.5 and length < m else None
-        if start is not None:
-            s = letters[start : start + length]
+    drawn = 0  # counts repeats too, so a small m cannot loop forever
+    while drawn < target:
+        length = rng.randint(lo, hi)
+        if rng.random() < 0.5:
+            start = rng.randrange(m - length + 1)
+            strings.add(letters[start : start + length])
         else:
-            s = "".join(rng.choice("ab") for _ in range(length))
-        if s not in strings:
-            strings.add(s)
-            total += len(s)
+            strings.add("".join(rng.choice("ab") for _ in range(length)))
+        drawn += length
     return APInstance(Pattern(letters), u, tuple(sorted(strings)))
 
 
-def _bench_ap(args: argparse.Namespace, writer) -> None:
+def _ap_bench_instance(rng: random.Random, m: int, size: int):
+    inst = _random_ap(rng, m, size)
+
+    def run(algo: str) -> BitVector:
+        if algo == "naive-oracle":
+            return brute_ap(inst.pattern, inst.u, inst.strings)
+        return solve_ap(inst, naive_cutoff=_BENCH_CUTOFFS[algo])
+
+    return [inst.pattern.m, 1, sum(map(len, inst.strings))], run
+
+
+def _bench(args: argparse.Namespace, writer) -> int:
+    """One row per size and algorithm; 3 when algorithms disagree on a size."""
     for size in args.sizes:
         rng = random.Random(args.seed * 1_000_003 + size)
-        inst = _random_ap(rng, args.m, size)
-        n_size = sum(len(s) for s in inst.strings)
+        if args.mode == "edsm":
+            row, run = _edsm_bench_instance(rng, size)
+        else:
+            row, run = _ap_bench_instance(rng, args.m, size)
+        answers = {}
         for algo in args.algos:
             start = time.perf_counter()
             try:
-                if algo == "naive-oracle":
-                    brute_ap(inst.pattern, inst.u, inst.strings)
-                else:
-                    solve_ap(inst)
+                answers[algo] = run(algo)
             except BudgetExceededError:
-                writer.writerow([inst.pattern.m, 1, n_size, algo, "skipped"])
+                writer.writerow([*row, algo, "skipped"])
                 continue
             elapsed = time.perf_counter() - start
-            writer.writerow([inst.pattern.m, 1, n_size, algo, f"{elapsed:.6f}"])
+            writer.writerow([*row, algo, f"{elapsed:.6f}"])
+        if len(set(answers.values())) > 1:
+            first, *rest = answers
+            odd = [a for a in rest if answers[a] != answers[first]]
+            print(f"disagreement: {', '.join(odd)} and {first} give different "
+                  f"answers (mode {args.mode}, size {size}, seed {args.seed})",
+                  file=sys.stderr)
+            return 3
+    return 0
 
 
 def cmd_bench(args: argparse.Namespace) -> int:
+    unknown = [a for a in args.algos if a not in _BENCH_ALGOS]
+    if unknown:
+        print(f"error: unknown bench algorithm {', '.join(unknown)} "
+              f"(choose from {', '.join(_BENCH_ALGOS)})", file=sys.stderr)
+        return 2
+    if args.mode == "ap" and args.m < 2:
+        print("error: --m must be at least 2 in ap mode", file=sys.stderr)
+        return 2
     out = open(args.out, "w", newline="") if args.out else sys.stdout
     try:
         writer = csv.writer(out)
         writer.writerow(["m", "n", "N", "algo", "seconds"])
-        if args.mode == "edsm":
-            _bench_edsm(args, writer)
-        else:
-            _bench_ap(args, writer)
+        return _bench(args, writer)
     finally:
         if args.out:
             out.close()
-    return 0
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -409,8 +435,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_search.add_argument("-p", "--pattern", required=True,
                           help="pattern text, or @file to read it from a file")
     p_search.add_argument("-t", "--text", required=True, help="EDS file")
-    p_search.add_argument("--algo", choices=["auto", "naive-oracle", "ap-fast"],
-                          default="auto")
+    p_search.add_argument("--algo", choices=["auto", "naive-oracle"], default="auto")
     p_search.add_argument("--json", action="store_true", help="JSON report")
     p_search.set_defaults(func=cmd_search)
 
@@ -437,7 +462,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p_bench.add_argument("--sizes", type=lambda s: [int(x) for x in s.split(",")],
                          default=[1000, 2000, 4000], help="comma-separated sizes N")
     p_bench.add_argument("--algos", type=lambda s: s.split(","),
-                         default=["ap-fast", "naive-oracle"])
+                         default=["ap-fast", "naive-oracle"],
+                         help="comma-separated: ap-fast, ap-paper, naive-oracle")
     p_bench.add_argument("--m", type=int, default=1024, help="pattern length (ap mode)")
     p_bench.add_argument("--seed", type=int, default=0)
     p_bench.add_argument("--out", default=None, help="CSV output file (default stdout)")

@@ -233,6 +233,11 @@ def iter_parse_eds(stream: io.TextIOBase | str) -> Iterator[Segment]:
             offset += len(ch.encode("utf-8", "surrogatepass")) if ord(ch[0]) > 127 else 1
         return ch
 
+    def illegal(ch: str) -> EDSParseError:
+        # read_char has counted all of ch's bytes; point at its first one.
+        start = offset - len(ch.encode("utf-8", "surrogatepass"))
+        return EDSParseError(f"illegal character {ch!r}", start)
+
     def push_back(ch: str) -> None:
         nonlocal offset
         pending.append(ch)
@@ -277,7 +282,7 @@ def iter_parse_eds(stream: io.TextIOBase | str) -> Iterator[Segment]:
             elif ch == "{":
                 raise EDSParseError("nested braces", offset - 1)
             else:
-                raise EDSParseError(f"illegal character {ch!r}", offset - 1)
+                raise illegal(ch)
         return Segment(frozenset(alts))
 
     saw_any = False
@@ -307,11 +312,11 @@ def iter_parse_eds(stream: io.TextIOBase | str) -> Iterator[Segment]:
                 elif _is_letter(nxt):
                     run.append(nxt)
                 else:
-                    raise EDSParseError(f"illegal character {nxt!r}", offset - 1)
+                    raise illegal(nxt)
             saw_any = True
             yield Segment(frozenset({"".join(run)}))
         else:
-            raise EDSParseError(f"illegal character {ch!r}", offset - 1)
+            raise illegal(ch)
     if not saw_any:
         raise EDSParseError("empty input", offset)
 

@@ -21,7 +21,7 @@ from typing import Iterable
 
 from .ap_engine import APSolver
 from .eds_core import BitVector, EDString, Pattern, Segment
-from .oracles import brute_ap
+from .stringology import border_array
 
 __all__ = ["MatchReport", "MatchState", "EDSMEngine", "search"]
 
@@ -43,34 +43,18 @@ class MatchReport:
             raise ValueError("positions must be ascending and distinct")
 
 
-def _prefix_function(s: str) -> list[int]:
-    pf = [0] * len(s)
-    k = 0
-    for i in range(1, len(s)):
-        while k and s[i] != s[k]:
-            k = pf[k - 1]
-        if s[i] == s[k]:
-            k += 1
-        pf[i] = k
-    return pf
-
-
 class EDSMEngine:
     """Matcher for one pattern; feed segments through process_segment."""
 
-    def __init__(self, pattern: Pattern | str, ap_mode: str = "fast",
-                 naive_cutoff: int | None = None):
+    def __init__(self, pattern: Pattern | str, naive_cutoff: int | None = None):
         letters = pattern.letters if isinstance(pattern, Pattern) else pattern
         self.pattern = Pattern(letters)
         self.p = letters
         self.m = self.pattern.m
         self.rev = letters[::-1]
-        self.pf = _prefix_function(letters)
-        self.pf_rev = _prefix_function(self.rev)
-        if ap_mode not in ("fast", "brute"):
-            raise ValueError(f"unknown AP mode {ap_mode!r}")
-        self.ap_mode = ap_mode
-        self.solver = APSolver(self.pattern, naive_cutoff) if ap_mode == "fast" else None
+        self.pf = border_array(letters)
+        self.pf_rev = border_array(self.rev)
+        self.solver = APSolver(self.pattern, naive_cutoff)
 
     def new_state(self) -> MatchState:
         return MatchState(BitVector(self.m))
@@ -129,11 +113,7 @@ class EDSMEngine:
                         break
                     ql = self.pf_rev[ql - 1]
         if u_prev and extendables:
-            if self.solver is not None:
-                v = self.solver.solve(BitVector(m, u_prev), extendables)
-            else:
-                v = brute_ap(self.pattern, BitVector(m, u_prev), extendables)
-            u_next |= v.mask
+            u_next |= self.solver.solve(BitVector(m, u_prev), extendables).mask
         state.u = BitVector(m, u_next)
         if report:
             state.reported.add(j)
@@ -153,7 +133,7 @@ class EDSMEngine:
 
 
 def search(p: Pattern | str, t: EDString | Iterable[Segment],
-           ap_mode: str = "fast", naive_cutoff: int | None = None) -> MatchReport:
-    engine = EDSMEngine(p, ap_mode, naive_cutoff)
+           naive_cutoff: int | None = None) -> MatchReport:
+    engine = EDSMEngine(p, naive_cutoff)
     segments = t.segments if isinstance(t, EDString) else t
     return engine.search(segments)

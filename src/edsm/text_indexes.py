@@ -3,8 +3,7 @@
 Trees are built by sorting suffixes, computing longest-common-prefix
 values (Kasai for the suffix tree, LCA lookups for derived tries) and
 compacting with a stack.  Decorations: leaf suffix starts, string
-depths, heavy-path heads, Euler-tour LCA, binary-lifting weighted
-ancestors.
+depths, heavy-path heads and Euler-tour LCA.
 """
 
 from __future__ import annotations
@@ -20,9 +19,6 @@ __all__ = [
     "TreeLocus",
     "build_anchor_structure",
     "build_suffix_tree",
-    "lca",
-    "locate",
-    "weighted_ancestor",
 ]
 
 TERMINATOR = "\x00"  # sorts below every alphabet letter
@@ -94,7 +90,7 @@ class TreeLocus:
 
 
 class CompactTrie:
-    """Compact trie with LCA, weighted-ancestor and heavy-path queries."""
+    """Compact trie with locate, LCA and heavy-path queries."""
 
     def __init__(self, items: list[tuple[str, int, int]], lcps: list[int]):
         """items: sorted (source, source_offset, decoration); lcps between neighbours."""
@@ -104,7 +100,6 @@ class CompactTrie:
         self._index_nodes()
         self._heavy_paths()
         self._prepare_lca()
-        self._prepare_lifting()
 
     # -- construction ---------------------------------------------------
 
@@ -202,15 +197,6 @@ class CompactTrie:
             k += 1
         self._sparse = table
 
-    def _prepare_lifting(self) -> None:
-        n = len(self.nodes)
-        up0 = [node.parent.idx if node.parent else -1 for node in self.nodes]
-        ups = [up0]
-        while any(x >= 0 for x in ups[-1]):
-            prev = ups[-1]
-            ups.append([prev[x] if x >= 0 else -1 for x in prev])
-        self._ups = ups
-
     # -- queries ---------------------------------------------------------
 
     def lca(self, u: Node, v: Node) -> Node:
@@ -224,19 +210,6 @@ class CompactTrie:
         y = self._sparse[k][b - (1 << k) + 1]
         best = x if self._level[self._tour[x].idx] <= self._level[self._tour[y].idx] else y
         return self._tour[best]
-
-    def weighted_ancestor(self, u: Node, depth: int) -> Node:
-        """Shallowest node of string depth >= `depth` on u's root path."""
-        if not 0 <= depth <= u.depth:
-            raise ValueError(f"depth {depth} outside [0, {u.depth}]")
-        if depth == 0:
-            return self.root
-        cur = u.idx
-        for row in reversed(self._ups):
-            nxt = row[cur]
-            if nxt >= 0 and self.nodes[nxt].depth >= depth:
-                cur = nxt
-        return self.nodes[cur]
 
     def locate(self, q: str) -> Optional[TreeLocus]:
         cur = self.root
@@ -324,18 +297,6 @@ def _kasai(text: str, sa: list[int]) -> list[int]:
 
 def build_suffix_tree(s: str) -> SuffixTree:
     return SuffixTree(s)
-
-
-def locate(st: CompactTrie, q: str) -> Optional[TreeLocus]:
-    return st.locate(q)
-
-
-def lca(st: CompactTrie, u: Node, v: Node) -> Node:
-    return st.lca(u, v)
-
-
-def weighted_ancestor(st: CompactTrie, u: Node, depth: int) -> Node:
-    return st.weighted_ancestor(u, depth)
 
 
 @dataclass

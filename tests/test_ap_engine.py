@@ -9,7 +9,6 @@ from edsm.ap_engine import (
     APInstance,
     APSolver,
     decompose_dominance,
-    naive_short,
     partition_classes,
     solve_ap,
     solve_type1,
@@ -194,22 +193,6 @@ class TestRouting:
             assert cache.used == sum(len(a.occurrences) for a in cache.values())
             assert cache.used <= 8 or len(cache) == 1
         assert sum(len(a.occurrences) for a in built) > 8
-
-
-class TestNaiveShort:
-    def test_matches_oracle(self):
-        rng = random.Random(4)
-        for _ in range(200):
-            inst = random_instance(rng, 48)
-            t = rng.randint(1, 48)
-            kept = tuple(s for s in inst.strings if len(s) <= t)
-            bounded = APInstance(inst.pattern, inst.u, kept)
-            assert naive_short(bounded, t) == brute_ap(inst.pattern, inst.u, kept)
-
-    def test_rejects_strings_over_the_bound(self):
-        inst = APInstance(Pattern("abab"), BitVector(4), ("aba",))
-        with pytest.raises(ValueError):
-            naive_short(inst, 2)
 
 
 class TestPartitionClasses:

@@ -1,7 +1,9 @@
 import json
+import random
 
 import pytest
 
+from edsm import cli
 from edsm.cli import main
 
 EXAMPLE_TEXT = "ATGTA{A,T}C{G,T}CG{TA,TATA,}{TATGC,TTTTA}"
@@ -138,3 +140,42 @@ class TestBench:
                      "--algos", "ap-fast", "--seed", "2", "--out", str(out)]) == 0
         lines = out.read_text().strip().splitlines()
         assert len(lines) == 2 and lines[1].startswith("64,1,")
+
+    def test_ap_instance_strings_are_shorter_than_m(self):
+        # Strings of length m or more extend no prefix, so a row built from
+        # them would time an empty solve.
+        for m in (2, 64, 129, 1024):
+            inst = cli._random_ap(random.Random(m), m, 2000)
+            assert inst.strings and all(len(s) < m for s in inst.strings)
+
+    @pytest.mark.parametrize("mode, size", [("edsm", "600"), ("ap", "20000")])
+    def test_paper_route_row_agrees(self, tmp_path, mode, size):
+        out = tmp_path / "bench.csv"
+        assert main(["bench", "--mode", mode, "--sizes", size,
+                     "--algos", "ap-fast,ap-paper,naive-oracle",
+                     "--out", str(out)]) == 0
+        lines = out.read_text().strip().splitlines()
+        assert [line.split(",")[3] for line in lines[1:]] == [
+            "ap-fast", "ap-paper", "naive-oracle"]
+
+    @pytest.mark.parametrize("bad", [
+        ["--mode", "edsm", "--algos", "ap-fsat,naive-oracle"],
+        ["--mode", "ap", "--m", "1"],
+    ])
+    def test_bad_arguments_exit_2(self, tmp_path, capsys, bad):
+        out = tmp_path / "bench.csv"
+        assert main(["bench", "--sizes", "300", *bad, "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("error:")
+        assert not out.exists()
+
+    def test_disagreement_exits_3(self, monkeypatch, capsys):
+        solve_ap = cli.solve_ap
+
+        def flip_first_bit(inst, naive_cutoff=None):
+            v = solve_ap(inst, naive_cutoff)
+            return cli.BitVector(v.len, v.mask ^ 1)
+
+        monkeypatch.setattr(cli, "solve_ap", flip_first_bit)
+        assert main(["bench", "--mode", "ap", "--sizes", "400", "--m", "64",
+                     "--algos", "naive-oracle,ap-fast"]) == 3
+        assert "disagreement" in capsys.readouterr().err

@@ -141,9 +141,13 @@ class TestParsing:
         assert err.value.offset >= 0
 
     def test_error_offset_points_at_offender(self):
-        with pytest.raises(EDSParseError) as err:
-            parse_eds("abc;")
-        assert err.value.offset == 3
+        # The offset is the offender's first byte, also when it or a letter
+        # before it (here the 3-byte tagged-symbol letter U+E000) is multi-byte.
+        for text, offset in [("abc;", 3), ("ab€", 2), ("ab{c,€}", 5),
+                             ("a\ue000€", 4)]:
+            with pytest.raises(EDSParseError) as err:
+                parse_eds(text)
+            assert err.value.offset == offset, text
 
     def test_tagged_symbols_in_both_contexts(self):
         sym = encode_symbol(2, 5)

@@ -26,10 +26,6 @@ class TestGolden:
         assert report.positions == (2, 6, 7)
         assert (report.n, report.N) == (7, 28)
 
-    def test_published_example_brute_mode(self):
-        report = search("GTAT", parse_eds(EXAMPLE_TEXT), ap_mode="brute")
-        assert report.positions == (2, 6, 7)
-
 
 class TestEngineSemantics:
     def test_single_segment_occurrence(self):
@@ -53,10 +49,6 @@ class TestEngineSemantics:
         with pytest.raises(ValueError):
             EDSMEngine("ab").search(iter(()))
 
-    def test_unknown_mode_rejected(self):
-        with pytest.raises(ValueError):
-            EDSMEngine("ab", ap_mode="quantum")
-
     def test_online_processing_is_incremental(self):
         engine = EDSMEngine("aba")
         state = engine.new_state()
@@ -75,7 +67,6 @@ class TestDifferential:
             t = random_edstring(rng, max_n=7)
             want = tuple(brute_edsm(p, t, window_cap=t.n))
             assert search(p, t).positions == want
-            assert search(p, t, ap_mode="brute").positions == want
 
     def test_state_matches_prefix_recursion(self):
         rng = random.Random(22)

@@ -90,24 +90,6 @@ class TestTreeQueries:
         want = max(common, key=lambda n: n.depth)
         assert got is want
 
-    @given(source_st, st.data())
-    @settings(max_examples=100)
-    def test_weighted_ancestor_is_shallowest_at_depth(self, s, data):
-        st_ = build_suffix_tree(s)
-        leaves = [n for n in st_.nodes if n.is_leaf()]
-        u = data.draw(st.sampled_from(leaves))
-        depth = data.draw(st.integers(0, u.depth))
-        got = st_.weighted_ancestor(u, depth)
-        candidates = [n for n in root_path(u) if n.depth >= depth]
-        want = min(candidates, key=lambda n: n.depth)
-        assert got is want
-
-    def test_weighted_ancestor_range_check(self):
-        st_ = build_suffix_tree("abcabc")
-        leaf = st_.leaf_by_start[1]
-        with pytest.raises(ValueError):
-            st_.weighted_ancestor(leaf, leaf.depth + 1)
-
     @given(source_st)
     @settings(max_examples=100)
     def test_heavy_paths_are_logarithmic(self, s):
