@@ -30,7 +30,6 @@ from .ap_engine import NAIVE_CUTOFF_BASE, APInstance, solve_ap
 from .boolean_linalg import BoolMatrix
 from .eds_core import (
     BitVector,
-    EDSParseError,
     EDString,
     Pattern,
     Segment,
@@ -101,9 +100,6 @@ def cmd_search(args: argparse.Namespace) -> int:
             else:
                 report = EDSMEngine(pattern).search(iter_parse_eds(fh))
                 positions, n, total = report.positions, report.n, report.N
-    except EDSParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except (OSError, ValueError, BudgetExceededError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -301,7 +297,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
             return _verify_bmm(out, sidecar)
         print(f"disagreement: unknown instance kind {kind!r}", file=sys.stderr)
         return 3
-    except (OSError, ValueError, KeyError, TypeError, EDSParseError) as exc:
+    except (OSError, ValueError, KeyError, TypeError) as exc:
         print(f"disagreement: corrupt instance or sidecar ({exc})", file=sys.stderr)
         return 3
     except BudgetExceededError as exc:

@@ -17,7 +17,7 @@ from __future__ import annotations
 import io
 import re
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator
+from typing import Iterator
 
 __all__ = [
     "ALPHABET",
@@ -45,6 +45,20 @@ _PUA_KINDS = 5
 _PUA_IDS = 1280  # 5 * 1280 = 6400 = size of the BMP private use area
 _SYMBOL_RE = re.compile(r"<([0-9]+):([0-9]+)>")
 
+# The letter grammar: ALPHABET and the tagged-symbol area, written <k:id> in
+# files, plus what each context skips or splits on.  Escapes are translated
+# first, so each check is one character-class repeat (constant re memory).
+_LETTER = f"A-Za-z0-9{chr(_PUA_BASE)}-{chr(_PUA_BASE + _PUA_KINDS * _PUA_IDS - 1)}"
+_PATTERN_RE = re.compile(f"[{_LETTER}]*")
+_RUN_RE = re.compile(rf"[{_LETTER}\s]*")
+_BODY_RE = re.compile(rf"[{_LETTER}\s,]*")
+
+# A file's units: "{body}", or a bare run that the next "{" ends.
+_CHUNK = 1 << 16
+_UNIT_RE = re.compile(r"\s*(?:\{([^{}]*)\}|([^{}\s][^{}]*)(?=\{))")
+_SPACE_RE = re.compile(r"\s*")
+_BRACE_RE = re.compile(r"[{}]")
+
 
 def encode_symbol(kind: int, ident: int) -> str:
     """Map a tagged symbol to its single-character in-memory form."""
@@ -63,10 +77,6 @@ def decode_symbol(ch: str) -> tuple[int, int]:
     return off // _PUA_IDS + 1, off % _PUA_IDS
 
 
-def _is_letter(ch: str) -> bool:
-    return ch in ALPHABET or _PUA_BASE <= ord(ch) < _PUA_BASE + _PUA_KINDS * _PUA_IDS
-
-
 class EDSParseError(ValueError):
     """Parse failure; carries the byte offset of the offending input."""
 
@@ -80,12 +90,14 @@ class Segment:
     """One set of alternative strings."""
 
     alternatives: frozenset[str]
-    contains_epsilon: bool = field(init=False)
 
     def __post_init__(self) -> None:
         if not self.alternatives:
             raise ValueError("segment must have at least one alternative")
-        object.__setattr__(self, "contains_epsilon", "" in self.alternatives)
+
+    @property
+    def contains_epsilon(self) -> bool:
+        return "" in self.alternatives
 
     @property
     def size(self) -> int:
@@ -115,9 +127,9 @@ class Pattern:
     def __post_init__(self) -> None:
         if not self.letters:
             raise ValueError("pattern must be non-empty")
-        bad = next((c for c in self.letters if not _is_letter(c)), None)
-        if bad is not None:
-            raise ValueError(f"illegal pattern character {bad!r}")
+        end = _PATTERN_RE.match(self.letters).end()
+        if end < len(self.letters):
+            raise ValueError(f"illegal pattern character {self.letters[end]!r}")
         object.__setattr__(self, "m", len(self.letters))
 
 
@@ -192,133 +204,82 @@ class BitVector:
         return f"BitVector({self.to01()!r})"
 
 
-def _decode_letters(text: str, base_offset: int) -> Iterator[tuple[str, int]]:
-    """Yield (letter, byte offset) pairs, translating <k:id> escapes."""
-    i = 0
-    while i < len(text):
-        ch = text[i]
-        if ch == "<":
-            m = _SYMBOL_RE.match(text, i)
-            if m is None:
-                raise EDSParseError("malformed symbol escape", base_offset + i)
-            try:
-                yield encode_symbol(int(m.group(1)), int(m.group(2))), base_offset + i
-            except ValueError as exc:
-                raise EDSParseError(str(exc), base_offset + i) from None
-            i = m.end()
-        else:
-            yield ch, base_offset + i
-            i += 1
+def _symbol(m: re.Match) -> str:
+    try:
+        return encode_symbol(int(m[1]), int(m[2]))
+    except ValueError:
+        return m[0]  # left as written, so its '<' fails the check
+
+
+def _letters(text: str, chars: re.Pattern, offset=lambda i: i, at: int = 0) -> str:
+    """Translate text's <k:id> escapes, check it against chars and drop its
+    whitespace; the first fault, text[j], is reported at offset(at + j)."""
+    letters = _SYMBOL_RE.sub(_symbol, text) if "<" in text else text
+    if chars.fullmatch(letters):
+        return "".join(letters.split())
+    i = chars.match(text).end()
+    while m := _SYMBOL_RE.match(text, i):
+        try:
+            encode_symbol(int(m[1]), int(m[2]))
+        except ValueError as exc:
+            raise EDSParseError(str(exc), offset(at + i)) from None
+        i = chars.match(text, m.end()).end()
+    ch = text[i]
+    message = "malformed symbol escape" if ch == "<" else f"illegal character {ch!r}"
+    raise EDSParseError(message, offset(at + i))
 
 
 def iter_parse_eds(stream: io.TextIOBase | str) -> Iterator[Segment]:
     """Parse an EDS byte stream, yielding segments one at a time.
 
-    The stream is consumed incrementally: nothing past the characters of
-    the segment being yielded (plus one lookahead character) is read.
+    The stream is read in chunks of ``_CHUNK`` characters.  A segment is
+    yielded as soon as the next brace, or the end of the input, shows it
+    is complete; so memory is bounded by the largest segment plus one chunk.
     """
     if isinstance(stream, str):
         stream = io.StringIO(stream)
-
-    offset = 0
-    pending: list[str] = []  # lookahead pushback, at most one char
-
-    def read_char() -> str:
-        nonlocal offset
-        if pending:
-            ch = pending.pop()
-        else:
-            ch = stream.read(1)
-        if ch:
-            offset += len(ch.encode("utf-8", "surrogatepass")) if ord(ch[0]) > 127 else 1
-        return ch
-
-    def illegal(ch: str) -> EDSParseError:
-        # read_char has counted all of ch's bytes; point at its first one.
-        start = offset - len(ch.encode("utf-8", "surrogatepass"))
-        return EDSParseError(f"illegal character {ch!r}", start)
-
-    def push_back(ch: str) -> None:
-        nonlocal offset
-        pending.append(ch)
-        offset -= 1
-
-    def read_escape() -> str:
-        # The leading '<' has been consumed; read through the closing '>'.
-        start = offset - 1
-        body = ["<"]
-        while True:
-            ch = read_char()
-            if not ch:
-                raise EDSParseError("unterminated symbol escape", offset)
-            body.append(ch)
-            if ch == ">":
-                break
-            if len(body) > 16:
-                raise EDSParseError("malformed symbol escape", start)
-        raw = "".join(body)
-        letters = [c for c, _ in _decode_letters(raw, start)]
-        return letters[0]
-
-    def read_brace_segment() -> Segment:
-        alts: list[str] = []
-        cur: list[str] = []
-        while True:
-            ch = read_char()
-            if not ch:
-                raise EDSParseError("unbalanced braces", offset)
-            if ch.isspace():
-                continue
-            if ch == ",":
-                alts.append("".join(cur))
-                cur = []
-            elif ch == "}":
-                alts.append("".join(cur))
-                break
-            elif ch == "<":
-                cur.append(read_escape())
-            elif _is_letter(ch):
-                cur.append(ch)
-            elif ch == "{":
-                raise EDSParseError("nested braces", offset - 1)
-            else:
-                raise illegal(ch)
-        return Segment(frozenset(alts))
-
+    base = 0  # byte offset of buf[0] in the input
+    pieces: list[str] = []  # an unfinished unit, gathered until a brace ends it
     saw_any = False
+
+    def offset(i: int) -> int:  # byte offset of buf[i] in the input
+        return base + len(buf[:i].encode("utf-8", "surrogatepass"))
+
     while True:
-        ch = read_char()
-        if not ch:
-            break
-        if ch.isspace():
+        chunk = stream.read(_CHUNK)
+        pieces.append(chunk)
+        if chunk and "{" not in chunk and "}" not in chunk:
             continue
-        if ch == "{":
-            seg = read_brace_segment()
+        buf = "".join(pieces)
+        pos = 0
+        while m := _UNIT_RE.match(buf, pos):
+            body, run = m.groups()
+            if body is not None:
+                yield Segment(frozenset(_letters(body, _BODY_RE, offset, m.start(1)).split(",")))
+            else:
+                yield Segment(frozenset((_letters(run, _RUN_RE, offset, m.start(2)),)))
             saw_any = True
-            yield seg
-        elif _is_letter(ch) or ch == "<":
-            run = [read_escape() if ch == "<" else ch]
-            while True:
-                nxt = read_char()
-                if not nxt:
-                    break
-                if nxt.isspace():
-                    continue
-                if nxt == "{":
-                    push_back(nxt)
-                    break
-                if nxt == "<":
-                    run.append(read_escape())
-                elif _is_letter(nxt):
-                    run.append(nxt)
-                else:
-                    raise illegal(nxt)
-            saw_any = True
-            yield Segment(frozenset({"".join(run)}))
-        else:
-            raise illegal(ch)
-    if not saw_any:
-        raise EDSParseError("empty input", offset)
+            pos = m.end()
+        # buf[pos:] holds no complete unit: keep it while a later chunk may
+        # complete it, else report its first fault.
+        s = _SPACE_RE.match(buf, pos).end()
+        brace = buf.startswith("{", s)
+        b = _BRACE_RE.search(buf, s + brace)
+        if b is None and chunk:
+            base = offset(s)
+            pieces = [buf[s:]]
+            continue
+        stop = len(buf) if b is None else b.start()
+        if brace:
+            _letters(buf[s + 1 : stop], _BODY_RE, offset, s + 1)
+            message = "unbalanced braces" if b is None else "nested braces"
+            raise EDSParseError(message, offset(stop))
+        run = _letters(buf[s : stop + 1], _RUN_RE, offset, s)  # fails at a "}"
+        if s < len(buf):
+            yield Segment(frozenset((run,)))
+        elif not saw_any:
+            raise EDSParseError("empty input", offset(len(buf)))
+        return
 
 
 def parse_eds(text: str) -> EDString:
@@ -356,5 +317,4 @@ def serialize_eds(t: EDString) -> str:
 
 def parse_pattern_text(text: str) -> Pattern:
     """Parse a pattern string that may contain <k:id> escapes."""
-    letters = "".join(c for c, _ in _decode_letters(text.strip(), 0))
-    return Pattern(letters)
+    return Pattern(_letters(text.strip(), _PATTERN_RE))

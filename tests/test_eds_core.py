@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from edsm import eds_core
 from edsm.eds_core import (
     ALPHABET,
     BitVector,
@@ -148,6 +149,64 @@ class TestParsing:
             with pytest.raises(EDSParseError) as err:
                 parse_eds(text)
             assert err.value.offset == offset, text
+
+    def test_malformed_escape_points_at_its_bracket(self):
+        # An unterminated escape is malformed at its '<', not at the end of
+        # input, and its scan stops at a closing brace.
+        for text, offset in [("<1:2", 0), ("a<b", 1), ("ab{<1:x}", 3)]:
+            with pytest.raises(EDSParseError, match="malformed symbol escape") as err:
+                parse_eds(text)
+            assert err.value.offset == offset, text
+
+    def test_first_fault_wins(self):
+        for text, offset, fragment in [("a<6:1>b;", 1, "out of range"),
+                                       ("a;<6:1>", 1, "illegal"),
+                                       ("{a;{b}", 2, "illegal"),
+                                       ("{ab{", 3, "nested")]:
+            with pytest.raises(EDSParseError, match=fragment) as err:
+                parse_eds(text)
+            assert err.value.offset == offset, text
+        with pytest.raises(EDSParseError, match="illegal character '€'"):
+            parse_pattern_text("€<1:x>")
+
+    @pytest.mark.parametrize("doc", [
+        "AT{A,T}C", "{TA,TATA,}", "A T\n{G ,T}", "{AC,A", "{a{b}}", "a;b",
+        "{a,b};", "", "   ", "<1:x>", "<1:99999>a", "abc;", "ab€", "ab{c,€}",
+        "a\ue000€", "a<2:5>{<2:5>b,}", "ab{c,d}{e", "ab}",
+        "ATGTA{A,T}C{G,T}CG{TA,TATA,}{TATGC,TTTTA}",
+        "AC\ue000G <3:7>T\nACGT{\ue000,<1:0>, }TT\ue000<5:9>",
+    ])
+    def test_every_chunk_size_agrees(self, monkeypatch, doc):
+        def outcome():
+            try:
+                return [seg.alternatives for seg in iter_parse_eds(io.StringIO(doc))]
+            except EDSParseError as exc:
+                return exc.offset
+
+        expected = outcome()
+        for size in range(1, len(doc) + 2):
+            monkeypatch.setattr(eds_core, "_CHUNK", size)
+            assert outcome() == expected, size
+
+    def test_bare_run_over_many_chunks_is_one_segment(self, monkeypatch):
+        monkeypatch.setattr(eds_core, "_CHUNK", 4)
+        sym = encode_symbol(3, 7)
+        run = "ACGT\nAC<3:7>\ue000 GT" * 5
+        letters = ("ACGTAC" + sym + "\ue000GT") * 5
+        segs = list(iter_parse_eds(io.StringIO(run + "{A,}" + run)))
+        assert [s.alternatives for s in segs] == [
+            frozenset({letters}), frozenset({"A", ""}), frozenset({letters})]
+
+    def test_reads_no_further_than_a_chunk_past_a_complete_segment(self, monkeypatch):
+        monkeypatch.setattr(eds_core, "_CHUNK", 2)
+        stream = io.StringIO("{ab}c" + "x" * 100)
+        assert next(iter_parse_eds(stream)).alternatives == frozenset({"ab"})
+        assert stream.tell() <= len("{ab}") + 2
+
+    @pytest.mark.parametrize("text", ["a b", "a,b", "a{b", "a<1:2"])
+    def test_pattern_text_has_no_separators(self, text):
+        with pytest.raises(ValueError):
+            parse_pattern_text(text)
 
     def test_tagged_symbols_in_both_contexts(self):
         sym = encode_symbol(2, 5)
