@@ -40,7 +40,13 @@ from .eds_core import (
     serialize_string,
 )
 from .edsm_engine import EDSMEngine
-from .oracles import BudgetExceededError, brute_ap, brute_edsm, brute_triangle
+from .oracles import (
+    BudgetExceededError,
+    brute_ap,
+    brute_edsm,
+    brute_triangle,
+    naive_bool_multiply,
+)
 from .reductions import TDInstance, bmm_to_ap, reconstruct_bmm, td_to_edsm
 
 __all__ = ["main"]
@@ -183,13 +189,7 @@ def _write_bmm(args: argparse.Namespace) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    expected = [
-        [
-            1 if any(a.get(i, k) and b.get(k, j) for k in range(1, n + 1)) else 0
-            for j in range(1, n + 1)
-        ]
-        for i in range(1, n + 1)
-    ]
+    expected = naive_bool_multiply(a, b).to_lists()
     instance = {
         "kind": "bmm",
         "n": n,

@@ -316,5 +316,11 @@ def serialize_eds(t: EDString) -> str:
 
 
 def parse_pattern_text(text: str) -> Pattern:
-    """Parse a pattern string that may contain <k:id> escapes."""
-    return Pattern(_letters(text.strip(), _PATTERN_RE))
+    """Parse a pattern string that may contain <k:id> escapes.
+
+    Surrounding whitespace is ignored; an error's offset is the UTF-8 byte
+    offset of the fault in text itself.
+    """
+    lead = len(text) - len(text.lstrip())
+    return Pattern(_letters(text.strip(), _PATTERN_RE,
+                            lambda i: len(text[:i].encode("utf-8", "surrogatepass")), lead))

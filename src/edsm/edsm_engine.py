@@ -3,15 +3,17 @@
 Segments are consumed strictly left to right.  For each segment the
 engine applies four effects to the active-prefix state U:
 
-* FULL-INSIDE: the pattern occurs inside an alternative (forward scan);
+* FULL-INSIDE: the pattern occurs inside an alternative (substring search);
 * START: suffixes of an alternative that are pattern prefixes activate
-  their lengths (failure chain of the forward scan's final state);
+  their lengths (failure chain of a KMP state over its last m letters);
 * EXTEND: the Active Prefixes subproblem over alternatives shorter than
   the pattern, plus the epsilon carry;
 * END: an active prefix completed by a prefix of an alternative reports
-  the current segment (failure chain of a reversed scan).
+  the current segment (failure chain of a KMP state of reversed P over
+  its first m - 1 letters, read backwards).
 
-The scans are KMP automata of P and of reversed P, linear per segment.
+So the Python KMP loop reads at most m letters at each end of an
+alternative; the rest of it is read only by the substring search.
 """
 
 from __future__ import annotations
@@ -24,6 +26,18 @@ from .eds_core import BitVector, EDString, Pattern, Segment
 from .stringology import border_array
 
 __all__ = ["MatchReport", "MatchState", "EDSMEngine", "search"]
+
+
+def _kmp_state(t: str, pat: str, pf: list[int]) -> int:
+    """Length of the longest suffix of t that is a prefix of pat, for
+    |t| <= |pat|; pf is pat's border array."""
+    q = 0
+    for ch in t:
+        while q and ch != pat[q]:
+            q = pf[q - 1]
+        if ch == pat[q]:
+            q += 1
+    return q
 
 
 @dataclass
@@ -59,29 +73,8 @@ class EDSMEngine:
     def new_state(self) -> MatchState:
         return MatchState(BitVector(self.m))
 
-    def _scan(self, s: str, text_pf: list[int], pat: str) -> tuple[bool, int]:
-        """KMP scan of s against pat.
-
-        Returns (full occurrence seen, final state), where the final
-        state is m itself when an occurrence ends at the last letter.
-        """
-        q = 0
-        m = len(pat)
-        hit = False
-        last = len(s) - 1
-        for pos, ch in enumerate(s):
-            while q and ch != pat[q]:
-                q = text_pf[q - 1]
-            if ch == pat[q]:
-                q += 1
-            if q == m:
-                hit = True
-                if pos != last:
-                    q = text_pf[q - 1]
-        return hit, q
-
     def process_segment(self, state: MatchState, seg: Segment, j: int) -> MatchState:
-        m = self.m
+        m, p, pf = self.m, self.p, self.pf
         u_prev = state.u.mask
         u_next = 0
         report = False
@@ -90,28 +83,23 @@ class EDSMEngine:
             if s == "":
                 u_next |= u_prev
                 continue
-            if 1 <= len(s) < m:
+            if len(s) < m:
                 extendables.append(s)
-            # Forward scan: FULL-INSIDE occurrences and START suffixes.
-            if len(s) >= m:
-                hit, q = self._scan(s, self.pf, self.p)
-                if hit:
-                    report = True
-            else:
-                _, q = self._scan(s, self.pf, self.p)
-            i = q
+            elif p in s:
+                report = True
+            # START: suffixes of s (at most m letters) that are prefixes of P.
+            i = _kmp_state(s[-m:], p, pf)
             while i > 0:
                 u_next |= 1 << (i - 1)
-                i = self.pf[i - 1]
-            # Reversed scan: END lengths (suffix of P that prefixes s).
-            if u_prev:
-                _, qr = self._scan(s[::-1], self.pf_rev, self.rev)
-                ql = qr
-                while ql > 0:
-                    if ql <= m - 1 and (u_prev >> (m - ql - 1)) & 1:
+                i = pf[i - 1]
+            # END: prefixes of s (at most m - 1 letters) that are suffixes of P.
+            if u_prev and not report:
+                i = _kmp_state(s[: m - 1][::-1], self.rev, self.pf_rev)
+                while i > 0:
+                    if (u_prev >> (m - i - 1)) & 1:
                         report = True
                         break
-                    ql = self.pf_rev[ql - 1]
+                    i = self.pf_rev[i - 1]
         if u_prev and extendables:
             u_next |= self.solver.solve(BitVector(m, u_prev), extendables).mask
         state.u = BitVector(m, u_next)

@@ -169,6 +169,15 @@ class TestParsing:
         with pytest.raises(EDSParseError, match="illegal character '€'"):
             parse_pattern_text("€<1:x>")
 
+    def test_pattern_text_offsets_are_bytes_of_the_argument(self):
+        # Stripped leading whitespace and multi-byte letters before the fault
+        # count toward the offset.
+        for text, offset in [("  a<1:x>", 3), ("\ue000\ue000<9:9>", 6),
+                             ("ab€c", 2), ("€<1:x>", 0)]:
+            with pytest.raises(EDSParseError) as err:
+                parse_pattern_text(text)
+            assert err.value.offset == offset, text
+
     @pytest.mark.parametrize("doc", [
         "AT{A,T}C", "{TA,TATA,}", "A T\n{G ,T}", "{AC,A", "{a{b}}", "a;b",
         "{a,b};", "", "   ", "<1:x>", "<1:99999>a", "abc;", "ab€", "ab{c,€}",

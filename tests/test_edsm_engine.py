@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from edsm import edsm_engine
 from edsm.eds_core import BitVector, EDString, Pattern, Segment, parse_eds
 from edsm.edsm_engine import EDSMEngine, MatchReport, search
 from edsm.oracles import brute_active_states, brute_edsm
@@ -140,3 +141,83 @@ class TestDifferential:
             engine = EDSMEngine(letters, naive_cutoff=23)
             got = engine.search(t.segments).positions
             assert got == tuple(brute_edsm(letters, t, window_cap=t.n))
+
+
+# Patterns for the bounded-scan tests: a^m, (ab)^k, a^(m-1)b, m = 1 (so the
+# END window s[:m-1] is empty), a tagged U+E000 letter, and m >= 24 so that
+# naive_cutoff=23 reaches the classed route.
+BOUNDED_PATTERNS = ["aaaaaa", "abababab", "aaaaab", "a", "b", "a\ue000ab\ue000a",
+                    "a" * 24, "ab" * 13, "a" * 25 + "b"]
+
+
+def _alternatives(rng: random.Random, p: str) -> list[str]:
+    """Alternatives of length m-1, m, m+1, 2m and 3m+k around p."""
+    m = len(p)
+    letters = sorted(set(p) | {"a", "b"})
+
+    def fill(n: int) -> str:
+        kind = rng.randrange(3)
+        if kind == 0:
+            return "".join(rng.choice(letters) for _ in range(n))
+        if kind == 1:
+            return "a" * n
+        return (p * (n // m + 1))[:n]
+
+    k = rng.randint(1, 3)
+    r = rng.randint(1, m)
+    return [
+        fill(m - 1), fill(m), fill(m + 1), fill(2 * m), fill(3 * m + k),
+        p, p[:-1], p[1:], p[: m - 1] + p[-1:] * 2,
+        p + fill(2 * m + k), fill(m) + p + fill(m + k), fill(2 * m + k) + p,
+        fill(2 * m + k) + p[:r], p[m - r :] + fill(2 * m + k),
+    ]
+
+
+class TestBoundedScans:
+    @pytest.mark.parametrize("cutoff", [None, 23])
+    @pytest.mark.parametrize("eps", [False, True])
+    @pytest.mark.parametrize("p", BOUNDED_PATTERNS)
+    def test_long_alternatives_match_oracles(self, p, eps, cutoff):
+        rng = random.Random(f"{p}/{eps}/{cutoff}")
+        for _ in range(12):
+            pool = [s for s in _alternatives(rng, p) if s]
+            segs = []
+            for _ in range(rng.randint(2, 6)):
+                alts = set(rng.sample(pool, rng.randint(1, 3)))
+                if eps and rng.random() < 0.5:
+                    alts.add("")
+                segs.append(Segment(frozenset(alts)))
+            t = EDString(tuple(segs))
+            engine = EDSMEngine(p, naive_cutoff=cutoff)
+            state = engine.new_state()
+            got_states = []
+            for j, seg in enumerate(segs, 1):
+                state = engine.process_segment(state, seg, j)
+                got_states.append(set(state.u.ones()))
+            assert got_states == brute_active_states(p, segs)
+            assert tuple(sorted(state.reported)) == tuple(brute_edsm(p, t, window_cap=t.n))
+
+    def test_kmp_reads_at_most_m_letters(self, monkeypatch):
+        rng = random.Random(25)
+        m = 32
+        p = "".join(rng.choice("ab") for _ in range(m))
+        body = "".join(rng.choice("ab") for _ in range(10**5))
+        assert p not in body
+        # Prefix 10 is active before the first long alternative, which
+        # completes it (END) and ends with a prefix of P (START); the second
+        # one contains P (FULL).
+        segs = [Segment(frozenset({p[:10]})),
+                Segment(frozenset({p[10:] + body + p[:7], "ab"})),
+                Segment(frozenset({body[:50_000] + p + body[50_000:]}))]
+        lengths = []
+        kmp_state = edsm_engine._kmp_state
+
+        def recording(t, pat, pf):
+            lengths.append(len(t))
+            return kmp_state(t, pat, pf)
+
+        monkeypatch.setattr(edsm_engine, "_kmp_state", recording)
+        report = search(p, EDString(tuple(segs)))
+        assert report.positions == (2, 3)
+        assert lengths and max(lengths) <= m
+        assert {m, m - 1} <= set(lengths)
