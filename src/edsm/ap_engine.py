@@ -300,7 +300,7 @@ class APSolver:
     # -- type 1 ------------------------------------------------------------
 
     def _solve_type1(self, umask: int, members: list[str], ell: int) -> int:
-        occurring = [s for s in members if self.st.locate(s) is not None]
+        occurring = [s for s in members if s in self.p]
         if not occurring:
             return 0
         # Right side: distinct length-ell windows of P, weighted by their
@@ -343,7 +343,7 @@ class APSolver:
     def _solve_type2(self, umask: int, members: list[str], ell: int) -> int:
         pairs: dict[str, list[tuple[str, int]]] = defaultdict(list)
         for s in members:
-            if self.st.locate(s) is None:
+            if s not in self.p:
                 continue
             run = maximal_periodic_run(s, ell)
             if run is None:

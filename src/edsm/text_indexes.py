@@ -1,15 +1,19 @@
 """Suffix trees and compact tries over the pattern.
 
-Trees are built by sorting suffixes, computing longest-common-prefix
-values (Kasai for the suffix tree, LCA lookups for derived tries) and
-compacting with a stack.  Decorations: leaf suffix starts, string
-depths, heavy-path heads and Euler-tour LCA.
+One suffix array orders everything.  `SuffixTree` builds it by prefix
+doubling (Manber-Myers: sort on integer rank pairs, double the
+compared length until all ranks differ), takes Kasai's LCP array from
+it and compacts the sorted suffixes with a stack.  Anchor tries sort
+their contexts by suffix rank and read each neighbour LCP as a range
+minimum of the LCP array, so no index holds suffix slices and no tree
+needs an LCA structure: memory stays O(m).  Decorations: leaf suffix
+starts, string depths and heavy-path heads.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Optional
+from typing import Optional
 
 __all__ = [
     "AnchorStructure",
@@ -90,7 +94,7 @@ class TreeLocus:
 
 
 class CompactTrie:
-    """Compact trie with locate, LCA and heavy-path queries."""
+    """Compact trie with locate and heavy-path queries."""
 
     def __init__(self, items: list[tuple[str, int, int]], lcps: list[int]):
         """items: sorted (source, source_offset, decoration); lcps between neighbours."""
@@ -99,7 +103,6 @@ class CompactTrie:
         self._build(items, lcps)
         self._index_nodes()
         self._heavy_paths()
-        self._prepare_lca()
 
     # -- construction ---------------------------------------------------
 
@@ -141,11 +144,10 @@ class CompactTrie:
 
     def _heavy_paths(self) -> None:
         # Heavy child = largest subtree by node count; ties broken by the
-        # smallest first edge letter so output is deterministic.
+        # smallest first edge letter so output is deterministic.  Nodes are
+        # in preorder, so each head is set before its children are visited.
+        self.root.hp_head = self.root
         for node in self.nodes:
-            if node.parent is None:
-                node.hp_head = node
-        for node in sorted(self.nodes, key=lambda n: n.depth):
             if not node.children:
                 continue
             heavy = min(
@@ -154,62 +156,7 @@ class CompactTrie:
             for child in node.children.values():
                 child.hp_head = node.hp_head if child is heavy else child
 
-    def _prepare_lca(self) -> None:
-        tour: list[Node] = []
-        first = [-1] * len(self.nodes)
-        stack: list[tuple[Node, Iterator[Node]]] = [
-            (self.root, iter(self.root.children.values()))
-        ]
-        level = {self.root.idx: 0}
-        tour.append(self.root)
-        first[self.root.idx] = 0
-        while stack:
-            node, it = stack[-1]
-            child = next(it, None)
-            if child is None:
-                stack.pop()
-                if stack:
-                    tour.append(stack[-1][0])
-                continue
-            level[child.idx] = level[node.idx] + 1
-            if first[child.idx] < 0:
-                first[child.idx] = len(tour)
-            tour.append(child)
-            stack.append((child, iter(child.children.values())))
-        self._tour = tour
-        self._first = first
-        self._level = level
-        n = len(tour)
-        logs = [0] * (n + 1)
-        for i in range(2, n + 1):
-            logs[i] = logs[i // 2] + 1
-        self._logs = logs
-        table = [list(range(n))]
-        k = 1
-        while (1 << k) <= n:
-            prev = table[-1]
-            row = []
-            half = 1 << (k - 1)
-            for i in range(n - (1 << k) + 1):
-                a, b = prev[i], prev[i + half]
-                row.append(a if level[tour[a].idx] <= level[tour[b].idx] else b)
-            table.append(row)
-            k += 1
-        self._sparse = table
-
     # -- queries ---------------------------------------------------------
-
-    def lca(self, u: Node, v: Node) -> Node:
-        if self.nodes[u.idx] is not u or self.nodes[v.idx] is not v:
-            raise ValueError("node does not belong to this tree")
-        a, b = self._first[u.idx], self._first[v.idx]
-        if a > b:
-            a, b = b, a
-        k = self._logs[b - a + 1]
-        x = self._sparse[k][a]
-        y = self._sparse[k][b - (1 << k) + 1]
-        best = x if self._level[self._tour[x].idx] <= self._level[self._tour[y].idx] else y
-        return self._tour[best]
 
     def locate(self, q: str) -> Optional[TreeLocus]:
         cur = self.root
@@ -247,7 +194,12 @@ class CompactTrie:
 
 
 class SuffixTree(CompactTrie):
-    """Compact trie of all suffixes of source + terminator."""
+    """Compact trie of all suffixes of source + terminator.
+
+    `text` is source + terminator, `sa` its suffix array, `rank` the
+    inverse of `sa` and `lcp[r]` the longest common prefix of the
+    suffixes at ranks r and r + 1.
+    """
 
     def __init__(self, source: str):
         if not source:
@@ -255,15 +207,11 @@ class SuffixTree(CompactTrie):
         if TERMINATOR in source:
             raise ValueError("source contains the reserved terminator")
         self.source = source
-        text = source + TERMINATOR
-        n = len(text)
-        sa = sorted(range(n), key=lambda i: text[i:])
-        lcp = _kasai(text, sa)
-        items = [(text, start, start + 1) for start in sa]
-        super().__init__(items, lcp)
-        self.leaf_by_start: dict[int, Node] = {
-            node.decoration: node for node in self.nodes if node.is_leaf()
-        }
+        self.text = text = source + TERMINATOR
+        self.sa, self.rank = _suffix_array(text)
+        self.lcp = _kasai(text, self.sa, self.rank)
+        items = [(text, start, start + 1) for start in self.sa]
+        super().__init__(items, self.lcp)
 
     def occurrences(self, q: str) -> list[int]:
         """All 1-based start positions of q in the source."""
@@ -274,11 +222,33 @@ class SuffixTree(CompactTrie):
         return sorted(s for s in starts if s + len(q) - 1 <= len(self.source))
 
 
-def _kasai(text: str, sa: list[int]) -> list[int]:
+def _suffix_array(text: str) -> tuple[list[int], list[int]]:
+    """(sa, rank) by prefix doubling: O(n log^2 n) time, O(n) memory.
+
+    Round k sorts on (rank of the first k letters, rank of the next k),
+    -1 past the end.  Initial ranks are code points, so the terminator's
+    suffix is the smallest.
+    """
     n = len(text)
-    rank = [0] * n
-    for r, s in enumerate(sa):
-        rank[s] = r
+    rank = [ord(c) for c in text]
+    sa = list(range(n))
+    k = 1
+    while True:
+        pairs = [(rank[i], rank[i + k] if i + k < n else -1) for i in range(n)]
+        sa.sort(key=pairs.__getitem__)
+        rank = [0] * n
+        r = 0
+        for prev, cur in zip(sa, sa[1:]):
+            if pairs[prev] != pairs[cur]:
+                r += 1
+            rank[cur] = r
+        if r == n - 1:
+            return sa, rank
+        k *= 2
+
+
+def _kasai(text: str, sa: list[int], rank: list[int]) -> list[int]:
+    n = len(text)
     lcp = [0] * max(0, n - 1)
     h = 0
     for i in range(n):
@@ -309,6 +279,19 @@ class AnchorStructure:
     trie_before: CompactTrie  # reversed prefixes preceding each occurrence
 
 
+def _context_trie(st: SuffixTree, starts: dict[int, int]) -> CompactTrie:
+    """Trie of the suffixes of st's text at `starts` (0-based start -> decoration).
+
+    Sorted by rank; the LCP of rank neighbours a < b is min(lcp[a:b]),
+    and the ranges of successive neighbours do not overlap, so the LCPs
+    cost O(m) in all.
+    """
+    order = sorted(starts, key=st.rank.__getitem__)
+    ranks = [st.rank[start0] for start0 in order]
+    lcps = [min(st.lcp[a:b]) for a, b in zip(ranks, ranks[1:])]
+    return CompactTrie([(st.text, start0, starts[start0]) for start0 in order], lcps)
+
+
 def build_anchor_structure(
     st: SuffixTree, st_rev: SuffixTree, anchor: str
 ) -> AnchorStructure:
@@ -316,37 +299,8 @@ def build_anchor_structure(
     if not occs:
         raise ValueError("anchor does not occur in the pattern")
     m = len(st.source)
-    fwd_text = st.source + TERMINATOR
-    rev_text = st_rev.source + TERMINATOR
-
     # T(H): suffix of P starting right after each occurrence, with terminator.
-    fwd_items = []
-    for i in occs:
-        start0 = i + len(anchor) - 1  # 0-based start in fwd_text
-        leaf = st.leaf_by_start[start0 + 1]
-        fwd_items.append((start0, i, leaf))
-    fwd_items.sort(key=lambda t: fwd_text[t[0] :])
-    fwd_lcps = [
-        st.lca(fwd_items[k][2], fwd_items[k + 1][2]).depth
-        for k in range(len(fwd_items) - 1)
-    ]
-    trie_after = CompactTrie(
-        [(fwd_text, start0, i) for start0, i, _ in fwd_items], fwd_lcps
-    )
-
+    trie_after = _context_trie(st, {i + len(anchor) - 1: i for i in occs})
     # T^r(H): reversed prefix P[1..i-1] reversed = suffix of reversed P.
-    rev_items = []
-    for i in occs:
-        start0 = m - (i - 1)  # 0-based start in rev_text
-        leaf = st_rev.leaf_by_start[start0 + 1]
-        rev_items.append((start0, i, leaf))
-    rev_items.sort(key=lambda t: rev_text[t[0] :])
-    rev_lcps = [
-        st_rev.lca(rev_items[k][2], rev_items[k + 1][2]).depth
-        for k in range(len(rev_items) - 1)
-    ]
-    trie_before = CompactTrie(
-        [(rev_text, start0, i) for start0, i, _ in rev_items], rev_lcps
-    )
-
+    trie_before = _context_trie(st_rev, {m - (i - 1): i for i in occs})
     return AnchorStructure(anchor, occs, trie_after, trie_before)
