@@ -46,7 +46,7 @@ from .stringology import (
     period,
     word_root,
 )
-from .text_indexes import SuffixTree, build_anchor_structure, build_suffix_tree
+from .text_indexes import SuffixArray, build_anchor_structure, build_suffix_tree
 
 __all__ = [
     "APInstance",
@@ -220,19 +220,19 @@ class APSolver:
         if naive_cutoff < NAIVE_CUTOFF_BASE:
             raise ValueError(f"cutoff below {NAIVE_CUTOFF_BASE} breaks class arithmetic")
         self.cutoff = naive_cutoff
-        self._st: SuffixTree | None = None
-        self._st_rev: SuffixTree | None = None
+        self._st: SuffixArray | None = None
+        self._st_rev: SuffixArray | None = None
         self._occ_cache = _BudgetCache(OCC_CACHE_BYTES)
         self._anchor_cache = _BudgetCache(ANCHOR_CACHE_OCCURRENCES)
 
     @property
-    def st(self) -> SuffixTree:
+    def st(self) -> SuffixArray:
         if self._st is None:
             self._st = build_suffix_tree(self.p)
         return self._st
 
     @property
-    def st_rev(self) -> SuffixTree:
+    def st_rev(self) -> SuffixArray:
         if self._st_rev is None:
             self._st_rev = build_suffix_tree(self.p[::-1])
         return self._st_rev
@@ -314,7 +314,7 @@ class APSolver:
                 w = s[j : j + ell]
                 if w not in window_ids:
                     window_ids[w] = len(weights)
-                    weights.append(len(self.st.occurrences(w)))
+                    weights.append(self.st.count(w))
                 nbrs.add(window_ids[w])
             adj.append(tuple(sorted(nbrs)))
         max_deg = max(len(a) for a in adj)
@@ -375,18 +375,13 @@ class APSolver:
             if struct is None:
                 struct = build_anchor_structure(self.st, self.st_rev, anchor)
                 self._anchor_cache.put(anchor, struct, len(struct.occurrences))
+            tb, ta = struct.trie_before, struct.trie_after
+            before_leaves = {n.decoration: n for n in tb.nodes if n.is_leaf()}
+            after_leaves = {n.decoration: n for n in ta.nodes if n.is_leaf()}
             red_by_path: dict[tuple, list] = defaultdict(list)
-            before_leaves = {
-                leaf.decoration: leaf
-                for leaf in struct.trie_before.leaves_under(struct.trie_before.root)
-            }
-            after_leaves = {
-                leaf.decoration: leaf
-                for leaf in struct.trie_after.leaves_under(struct.trie_after.root)
-            }
             for i in struct.occurrences:
-                above_b = _heads_above(before_leaves[i])
-                above_a = _heads_above(after_leaves[i])
+                above_b = tb.paths_above(before_leaves[i])
+                above_a = ta.paths_above(after_leaves[i])
                 for pb, xb in above_b:
                     for pa, ya in above_a:
                         red_by_path[(pb, pa)].append((xb, ya, i))
@@ -394,11 +389,11 @@ class APSolver:
             for s, j in plist:
                 before = s[: j - 1][::-1]
                 after = s[j - 1 + len(anchor) :]
-                lb = struct.trie_before.locate(before)
-                la = struct.trie_after.locate(after)
+                lb = tb.locate(before)
+                la = ta.locate(after)
                 if lb is None or la is None:
                     continue  # the context never occurs around this anchor in P
-                key = (id(lb.node.hp_head), id(la.node.hp_head))
+                key = (lb.hp_head, la.hp_head)
                 blue_by_path[key].append((len(before), len(after), (s, j)))
             for key, blues in blue_by_path.items():
                 reds = red_by_path.get(key)
@@ -525,16 +520,6 @@ class APSolver:
                 if e <= t_hi:
                     vmask |= 1 << (sigma + e - 1)
         return vmask & full
-
-
-def _heads_above(leaf) -> list[tuple[int, int]]:
-    """(heavy path id, deepest depth on that path) for every path above leaf."""
-    out = []
-    cur = leaf
-    while cur is not None:
-        out.append((id(cur.hp_head), cur.depth))
-        cur = cur.hp_head.parent
-    return out
 
 
 # -- module-level API ------------------------------------------------------

@@ -112,9 +112,8 @@ def _extend(s: str, lo: int, hi: int, p: int) -> tuple[int, int]:
 def classify_type(s: str, ell: int) -> TypeLabel:
     """Type1: no length-ell window strongly periodic; Type3: all; else Type2.
 
-    Requires 9/8*ell <= |s| < 5/4*ell.  Uses the block scheme: aligned
-    blocks of size floor(ell/2); a strongly periodic window must contain
-    a full block whose period extends across the whole window.
+    Requires 9/8*ell <= |s| < 5/4*ell.  A window is strongly periodic
+    iff it lies inside a maximal run, so Type2 is "some run, not Type3".
     """
     n = len(s)
     if ell < 1:
@@ -124,24 +123,9 @@ def classify_type(s: str, ell: int) -> TypeLabel:
     if 4 * period(s) <= ell:
         # The whole string has period <= ell/4, so every window does.
         return TypeLabel.Type3
-    if _has_strongly_periodic_window(s, ell):
+    if all_maximal_runs(s, ell):
         return TypeLabel.Type2
     return TypeLabel.Type1
-
-
-def _has_strongly_periodic_window(s: str, ell: int) -> bool:
-    if 4 > ell:
-        return False  # a period of at least 1 can never be <= ell/4
-    h = ell // 2
-    for b0 in range(0, len(s) - h + 1, h):
-        block = s[b0 : b0 + h]
-        p = period(block)
-        if 4 * p > ell:
-            continue
-        lo, hi = _extend(s, b0, b0 + h - 1, p)
-        if hi - lo + 1 >= ell:
-            return True
-    return False
 
 
 def maximal_periodic_run(s: str, ell: int) -> PeriodicRun | None:

@@ -1,17 +1,19 @@
-"""Suffix trees and compact tries over the pattern.
+"""The pattern's suffix array and the anchor tries built from it.
 
-One suffix array orders everything.  `SuffixTree` builds it by prefix
-doubling (Manber-Myers: sort on integer rank pairs, double the
-compared length until all ranks differ), takes Kasai's LCP array from
-it and compacts the sorted suffixes with a stack.  Anchor tries sort
-their contexts by suffix rank and read each neighbour LCP as a range
-minimum of the LCP array, so no index holds suffix slices and no tree
-needs an LCA structure: memory stays O(m).  Decorations: leaf suffix
-starts, string depths and heavy-path heads.
+`SuffixArray` is the pattern's only index.  It builds the suffix array
+by prefix doubling (Manber-Myers: sort on integer rank pairs, double
+the compared length until all ranks differ) and takes Kasai's LCP
+array from it.  The occurrences of a string are one rank range, found
+by binary search, so counting them is a subtraction.  Anchor tries
+(`CompactTrie`) sort the contexts of an anchor's occurrences by suffix
+rank and read each neighbour LCP as a range minimum of the LCP array,
+so no index holds suffix slices: memory stays O(m).  Trie decorations:
+leaf occurrence starts, string depths and heavy-path heads.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from typing import Optional
 
@@ -19,8 +21,7 @@ __all__ = [
     "AnchorStructure",
     "CompactTrie",
     "Node",
-    "SuffixTree",
-    "TreeLocus",
+    "SuffixArray",
     "build_anchor_structure",
     "build_suffix_tree",
 ]
@@ -36,7 +37,6 @@ class Node:
         "src",
         "off",
         "decoration",
-        "idx",
         "hp_head",
         "subtree_nodes",
     )
@@ -48,8 +48,7 @@ class Node:
         # Edge label = src[off + parent.depth : off + depth]
         self.src = src
         self.off = off
-        self.decoration: Optional[int] = None  # leaf: 1-based suffix/occurrence start
-        self.idx = -1
+        self.decoration: Optional[int] = None  # leaf: 1-based occurrence start
         self.hp_head: Optional[Node] = None
         self.subtree_nodes = 1
 
@@ -59,38 +58,11 @@ class Node:
             return ""
         return self.src[self.off + self.parent.depth : self.off + self.depth]
 
-    @property
-    def label_span(self) -> tuple[int, int]:
-        """(start, end) positions of the edge label within its source."""
-        if self.parent is None:
-            return (0, 0)
-        return (self.off + self.parent.depth, self.off + self.depth)
-
     def is_leaf(self) -> bool:
         return not self.children
 
     def __repr__(self) -> str:
         return f"<Node depth={self.depth} leaf={self.is_leaf()}>"
-
-
-@dataclass(frozen=True)
-class TreeLocus:
-    """Position in a tree: `offset` letters above `node` on its edge (0 = at node)."""
-
-    node: Node
-    offset: int
-
-    def __post_init__(self) -> None:
-        if self.offset < 0:
-            raise ValueError("negative locus offset")
-        if self.node.parent is not None:
-            edge_len = self.node.depth - self.node.parent.depth
-            if self.offset >= edge_len and self.offset != 0:
-                raise ValueError("locus offset not below the edge's upper node")
-
-    @property
-    def string_depth(self) -> int:
-        return self.node.depth - self.offset
 
 
 class CompactTrie:
@@ -135,7 +107,6 @@ class CompactTrie:
         order = [self.root]
         while order:
             node = order.pop()
-            node.idx = len(self.nodes)
             self.nodes.append(node)
             order.extend(node.children.values())
         for node in reversed(self.nodes):
@@ -158,7 +129,8 @@ class CompactTrie:
 
     # -- queries ---------------------------------------------------------
 
-    def locate(self, q: str) -> Optional[TreeLocus]:
+    def locate(self, q: str) -> Optional[Node]:
+        """Highest node whose root path spells q or continues it, if any."""
         cur = self.root
         pos = 0
         while pos < len(q):
@@ -170,31 +142,21 @@ class CompactTrie:
             if label[:take] != q[pos : pos + take]:
                 return None
             pos += take
-            if take < len(label):
-                return TreeLocus(child, len(label) - take)
             cur = child
-        return TreeLocus(cur, 0)
+        return cur
 
-    def leaves_under(self, node: Node) -> list[Node]:
-        out, stack = [], [node]
-        while stack:
-            x = stack.pop()
-            if x.is_leaf():
-                out.append(x)
-            else:
-                stack.extend(x.children.values())
+    def paths_above(self, node: Node) -> list[tuple[Node, int]]:
+        """(head, deepest depth on the path) for every heavy path above node."""
+        out = []
+        cur = node
+        while cur is not None:
+            out.append((cur.hp_head, cur.depth))
+            cur = cur.hp_head.parent
         return out
 
-    def heavy_paths_above(self, node: Node) -> int:
-        count, cur = 0, node
-        while cur is not None:
-            count += 1
-            cur = cur.hp_head.parent
-        return count
 
-
-class SuffixTree(CompactTrie):
-    """Compact trie of all suffixes of source + terminator.
+class SuffixArray:
+    """Suffix array of source + terminator.
 
     `text` is source + terminator, `sa` its suffix array, `rank` the
     inverse of `sa` and `lcp[r]` the longest common prefix of the
@@ -210,16 +172,28 @@ class SuffixTree(CompactTrie):
         self.text = text = source + TERMINATOR
         self.sa, self.rank = _suffix_array(text)
         self.lcp = _kasai(text, self.sa, self.rank)
-        items = [(text, start, start + 1) for start in self.sa]
-        super().__init__(items, self.lcp)
+
+    def _rank_range(self, q: str) -> tuple[int, int]:
+        """Ranks [lo, hi) of the suffixes that start with q."""
+        if TERMINATOR in q:
+            return 0, 0  # would match only across the end of the source
+        text, k = self.text, len(q)
+
+        def key(i: int) -> str:
+            return text[i : i + k]
+
+        lo = bisect_left(self.sa, q, key=key)
+        return lo, bisect_right(self.sa, q, lo, key=key)
 
     def occurrences(self, q: str) -> list[int]:
         """All 1-based start positions of q in the source."""
-        locus = self.locate(q)
-        if locus is None:
-            return []
-        starts = [leaf.decoration for leaf in self.leaves_under(locus.node)]
-        return sorted(s for s in starts if s + len(q) - 1 <= len(self.source))
+        lo, hi = self._rank_range(q)
+        return sorted(i + 1 for i in self.sa[lo:hi])
+
+    def count(self, q: str) -> int:
+        """Number of occurrences of q in the source."""
+        lo, hi = self._rank_range(q)
+        return hi - lo
 
 
 def _suffix_array(text: str) -> tuple[list[int], list[int]]:
@@ -265,8 +239,8 @@ def _kasai(text: str, sa: list[int], rank: list[int]) -> list[int]:
     return lcp
 
 
-def build_suffix_tree(s: str) -> SuffixTree:
-    return SuffixTree(s)
+def build_suffix_tree(s: str) -> SuffixArray:
+    return SuffixArray(s)
 
 
 @dataclass
@@ -279,7 +253,7 @@ class AnchorStructure:
     trie_before: CompactTrie  # reversed prefixes preceding each occurrence
 
 
-def _context_trie(st: SuffixTree, starts: dict[int, int]) -> CompactTrie:
+def _context_trie(st: SuffixArray, starts: dict[int, int]) -> CompactTrie:
     """Trie of the suffixes of st's text at `starts` (0-based start -> decoration).
 
     Sorted by rank; the LCP of rank neighbours a < b is min(lcp[a:b]),
@@ -293,7 +267,7 @@ def _context_trie(st: SuffixTree, starts: dict[int, int]) -> CompactTrie:
 
 
 def build_anchor_structure(
-    st: SuffixTree, st_rev: SuffixTree, anchor: str
+    st: SuffixArray, st_rev: SuffixArray, anchor: str
 ) -> AnchorStructure:
     occs = st.occurrences(anchor)
     if not occs:

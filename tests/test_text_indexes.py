@@ -1,6 +1,5 @@
 import math
 import os
-import random
 import tracemalloc
 
 import pytest
@@ -9,8 +8,6 @@ from hypothesis import strategies as st
 
 from edsm.text_indexes import (
     TERMINATOR,
-    SuffixTree,
-    TreeLocus,
     build_anchor_structure,
     build_suffix_tree,
 )
@@ -22,21 +19,30 @@ def naive_occurrences(text: str, q: str) -> list[int]:
     return [i + 1 for i in range(len(text) - len(q) + 1) if text[i : i + len(q)] == q]
 
 
+def anchor_tries(s: str, anchor: str):
+    """The anchor's two tries over s, each with the context spelled by
+    the root path of occurrence k's leaf."""
+    aux = build_anchor_structure(build_suffix_tree(s), build_suffix_tree(s[::-1]), anchor)
+    return aux, (
+        (aux.trie_after, lambda k: s[k - 1 + len(anchor) :] + TERMINATOR),
+        (aux.trie_before, lambda k: s[: k - 1][::-1] + TERMINATOR),
+    )
+
+
+@st.composite
+def source_and_anchor(draw, max_anchor: int = 40):
+    s = draw(source_st)
+    i = draw(st.integers(0, len(s) - 1))
+    j = draw(st.integers(i + 1, min(len(s), i + max_anchor)))
+    return s, s[i:j]
+
+
 class TestSuffixTree:
     def test_rejects_empty_and_terminator(self):
         with pytest.raises(ValueError):
             build_suffix_tree("")
         with pytest.raises(ValueError):
             build_suffix_tree("a" + TERMINATOR)
-
-    @given(source_st)
-    @settings(max_examples=120)
-    def test_leaf_per_suffix(self, s):
-        st_ = build_suffix_tree(s)
-        starts = sorted(
-            node.decoration for node in st_.nodes if node.is_leaf()
-        )
-        assert starts == list(range(1, len(s) + 2))  # incl. terminator suffix
 
     @given(source_st, st.data())
     @settings(max_examples=120)
@@ -46,20 +52,36 @@ class TestSuffixTree:
         j = data.draw(st.integers(i + 1, len(s)))
         q = s[i:j]
         assert st_.occurrences(q) == naive_occurrences(s, q)
+        assert st_.count(q) == len(naive_occurrences(s, q))
         foreign = q + "z"
-        assert st_.occurrences(foreign) == []
+        assert st_.occurrences(foreign) == [] and st_.count(foreign) == 0
 
-    @given(source_st, st.data())
-    @settings(max_examples=100)
-    def test_locate_depth_and_misses(self, s, data):
+    @given(
+        st.one_of(
+            st.integers(1, 40).map(lambda m: "a" * m),
+            st.integers(1, 20).map(lambda k: "ab" * k),
+            st.integers(1, 40).map(lambda m: "a" * (m - 1) + "b"),
+            st.sampled_from(["a", "\ue000"]),  # m = 1
+            st.text(alphabet="a\ue000\ue001", min_size=1, max_size=40),
+        ),
+        st.data(),
+    )
+    @settings(max_examples=150)
+    def test_occurrences_and_count_match_naive(self, s, data):
         st_ = build_suffix_tree(s)
         i = data.draw(st.integers(0, len(s) - 1))
         j = data.draw(st.integers(i + 1, len(s)))
-        q = s[i:j]
-        locus = st_.locate(q)
-        assert locus is not None
-        assert locus.string_depth == len(q)
-        assert st_.locate(q + "z") is None
+        queries = [
+            s[i:j],
+            s,  # the whole source
+            s + s[-1],  # longer than the source
+            s[i:j] + "z",  # absent
+            s[i:j] + TERMINATOR,  # would match only past the end
+        ]
+        for q in queries:
+            want = naive_occurrences(s, q)
+            assert st_.occurrences(q) == want, q
+            assert st_.count(q) == len(want), q
 
     @given(
         st.one_of(
@@ -91,29 +113,43 @@ class TestSuffixTree:
             tracemalloc.stop()
         assert peak < 16 * 2**20
 
-    def test_edge_labels_partition_suffixes(self):
-        st_ = build_suffix_tree("banana")
-        for node in st_.nodes:
-            if node.parent is not None:
-                assert len(node.edge_label) == node.depth - node.parent.depth
-                lo, hi = node.label_span
-                assert node.src[lo:hi] == node.edge_label
-
 
 class TestTreeQueries:
-    @given(source_st)
+    @given(source_and_anchor())
     @settings(max_examples=100)
-    def test_heavy_paths_are_logarithmic(self, s):
-        st_ = build_suffix_tree(s)
-        bound = math.log2(len(st_.nodes)) + 1
-        for node in st_.nodes:
-            if node.is_leaf():
-                assert st_.heavy_paths_above(node) <= bound
+    def test_edge_labels_spell_contexts(self, case):
+        def spelled(node):
+            return node.src[node.off : node.off + node.depth]
 
-    def test_locus_validation(self):
-        st_ = build_suffix_tree("aab")
-        with pytest.raises(ValueError):
-            TreeLocus(st_.root, -1)
+        _, tries = anchor_tries(*case)
+        for trie, _ in tries:
+            for node in trie.nodes:
+                if node.parent is not None:
+                    assert len(node.edge_label) == node.depth - node.parent.depth
+                    assert spelled(node.parent) + node.edge_label == spelled(node)
+
+    @given(source_and_anchor(), st.data())
+    @settings(max_examples=100)
+    def test_locate_depth_and_misses(self, case, data):
+        aux, tries = anchor_tries(*case)
+        for trie, context in tries:
+            want = context(data.draw(st.sampled_from(aux.occurrences)))
+            q = want[: data.draw(st.integers(0, len(want)))]
+            node = trie.locate(q)
+            assert node is not None
+            assert node.depth >= len(q)
+            assert node.parent is None or node.parent.depth < len(q)
+            assert trie.locate(q + "z") is None
+
+    @given(source_and_anchor(max_anchor=2))
+    @settings(max_examples=100)
+    def test_heavy_paths_are_logarithmic(self, case):
+        _, tries = anchor_tries(*case)
+        for trie, _ in tries:
+            bound = math.log2(len(trie.nodes)) + 1
+            for node in trie.nodes:
+                if node.is_leaf():
+                    assert len(trie.paths_above(node)) <= bound
 
 
 class TestAnchorStructure:
@@ -123,26 +159,18 @@ class TestAnchorStructure:
         with pytest.raises(ValueError):
             build_anchor_structure(st_, st_rev, "zz")
 
-    @given(source_st, st.data())
+    @given(source_and_anchor())
     @settings(max_examples=80)
-    def test_tries_decorated_with_occurrence_contexts(self, s, data):
-        i = data.draw(st.integers(0, len(s) - 1))
-        j = data.draw(st.integers(i + 1, len(s)))
-        anchor = s[i:j]
-        st_ = build_suffix_tree(s)
-        st_rev = build_suffix_tree(s[::-1])
-        aux = build_anchor_structure(st_, st_rev, anchor)
+    def test_tries_decorated_with_occurrence_contexts(self, case):
+        s, anchor = case
+        aux, tries = anchor_tries(s, anchor)
         assert aux.occurrences == naive_occurrences(s, anchor)
         # Every occurrence i decorates a leaf of each trie whose root path
         # spells the suffix after (resp. reversed prefix before) it.
-        for trie, context in (
-            (aux.trie_after, lambda k: s[k - 1 + len(anchor) :] + TERMINATOR),
-            (aux.trie_before, lambda k: s[: k - 1][::-1] + TERMINATOR),
-        ):
+        for trie, context in tries:
             leaves = {n.decoration: n for n in trie.nodes if n.is_leaf()}
             assert sorted(leaves) == aux.occurrences
             for k, leaf in leaves.items():
                 want = context(k)
                 assert leaf.depth == len(want)
-                locus = trie.locate(want)
-                assert locus is not None and locus.node is leaf
+                assert trie.locate(want) is leaf
