@@ -32,8 +32,6 @@ from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 
-import numpy as np
-
 from .boolean_linalg import BoolMatrix, PolyMatrix, bool_matvec_batch, poly_multiply
 from .eds_core import BitVector, Pattern
 from .node_select import BipartiteInstance, solve_derandomized
@@ -501,24 +499,23 @@ class APSolver:
                 small.append((i, beta, j))
         if small:
             k_rows = (alpha // big_d) + 1
-            acoef = np.zeros((k_rows, r, big_d), np.int64)
-            for k in range(1, k_rows + 1):
-                for i in range(1, r + 1):
-                    for g in range(big_d):
-                        t = ((k - 1) * big_d + g) * r + i
-                        if u_bit(t):
-                            acoef[k - 1, i - 1, g] = 1
-            mcoef = np.zeros((r, r, big_d + 1), np.int64)
+            acoef = [
+                [[u_bit((k * big_d + g) * r + i) for g in range(big_d)]
+                 for i in range(1, r + 1)]
+                for k in range(k_rows)
+            ]
+            mcoef = [[[0] * (big_d + 1) for _ in range(r)] for _ in range(r)]
             for i, beta, j in small:
-                mcoef[i - 1, j - 1, beta] = 1
+                mcoef[i - 1][j - 1][beta] = 1
             amat = PolyMatrix(k_rows, r, big_d - 1, acoef)
             mmat = PolyMatrix(r, r, big_d, mcoef)
             cmat = poly_multiply(amat, mmat)
-            nz = np.argwhere(cmat.coeffs > 0)
-            for k0, j0, w in nz:
-                e = ((int(k0) * big_d) + int(w) + 1) * r + (int(j0) + 1)
-                if e <= t_hi:
-                    vmask |= 1 << (sigma + e - 1)
+            for k0, row in enumerate(cmat.coeffs):
+                for j0, entry in enumerate(row):
+                    for w, c in enumerate(entry):
+                        e = (k0 * big_d + w + 1) * r + j0 + 1
+                        if c and e <= t_hi:
+                            vmask |= 1 << (sigma + e - 1)
         return vmask & full
 
 

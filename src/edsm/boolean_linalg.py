@@ -2,16 +2,14 @@
 
 BoolMatrix packs each row into a Python int, so a Boolean product is a
 word-parallel OR of rows.  Rectangular products decompose into square
-blocks.  PolyMatrix products evaluate at roots of unity modulo the NTT
-prime 998244353, multiply pointwise, and interpolate; a budget check
-guarantees every output coefficient is recovered exactly.
+blocks.  PolyMatrix products are exact on Python ints: Kronecker
+substitution packs each polynomial into one int, so an entry of the
+product is a sum of int products.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-
-import numpy as np
 
 from .eds_core import BitVector
 
@@ -23,9 +21,6 @@ __all__ = [
     "poly_multiply",
     "rect_multiply",
 ]
-
-_NTT_PRIME = 998244353  # 119 * 2^23 + 1
-_NTT_ROOT = 3
 
 
 @dataclass(frozen=True)
@@ -47,6 +42,9 @@ class BoolMatrix:
 
     @classmethod
     def from_rows(cls, rows: list[list[int]]) -> "BoolMatrix":
+        cols = len(rows[0]) if rows else 0
+        if any(len(row) != cols for row in rows):
+            raise ValueError("rows differ in length")
         packed = []
         for row in rows:
             mask = 0
@@ -54,7 +52,7 @@ class BoolMatrix:
                 if cell:
                     mask |= 1 << j
             packed.append(mask)
-        return cls(len(rows), len(rows[0]), tuple(packed))
+        return cls(len(rows), cols, tuple(packed))
 
     @classmethod
     def zero(cls, rows: int, cols: int) -> "BoolMatrix":
@@ -176,100 +174,77 @@ def _transpose_cols(cols: list[int], nrows: int) -> list[int]:
 
 @dataclass(frozen=True)
 class PolyMatrix:
-    """rows x cols matrix of polynomials; coeffs[i, j, t] = coefficient of x^t."""
+    """rows x cols matrix of polynomials; coeffs[i][j][t] = coefficient of x^t.
+
+    Any nested sequence of non-negative ints is accepted and stored as
+    nested tuples.
+    """
 
     rows: int
     cols: int
     degree: int
-    coeffs: np.ndarray = field(repr=False)
+    coeffs: tuple[tuple[tuple[int, ...], ...], ...] = field(repr=False)
 
     def __post_init__(self) -> None:
         if self.rows < 1 or self.cols < 1 or self.degree < 0:
             raise ValueError("bad shape")
-        if self.coeffs.shape != (self.rows, self.cols, self.degree + 1):
+        coeffs = tuple(tuple(tuple(entry) for entry in row) for row in self.coeffs)
+        if len(coeffs) != self.rows or any(
+            len(row) != self.cols or any(len(e) != self.degree + 1 for e in row)
+            for row in coeffs
+        ):
             raise ValueError("coefficient array shape mismatch")
-        if self.coeffs.dtype != np.int64:
-            raise ValueError("coefficients must be int64")
-        if (self.coeffs < 0).any():
+        if any(c < 0 for row in coeffs for entry in row for c in entry):
             raise ValueError("coefficients must be non-negative")
+        object.__setattr__(self, "coeffs", coeffs)
 
     @classmethod
     def zero(cls, rows: int, cols: int, degree: int) -> "PolyMatrix":
-        return cls(rows, cols, degree, np.zeros((rows, cols, degree + 1), np.int64))
+        return cls(rows, cols, degree, (((0,) * (degree + 1),) * cols,) * rows)
 
     def coeff(self, i: int, j: int, t: int) -> int:
         """1-indexed entry, 0-indexed power."""
-        return int(self.coeffs[i - 1, j - 1, t])
+        return self.coeffs[i - 1][j - 1][t]
 
 
-def _ntt(a: np.ndarray, invert: bool) -> np.ndarray:
-    """Iterative radix-2 NTT along the last axis; length must be a power of 2."""
-    p = _NTT_PRIME
-    n = a.shape[-1]
-    if n == 1:
-        return a % p
-    a = a % p
-    # Bit-reversal permutation.
-    idx = np.arange(n)
-    rev = np.zeros(n, np.int64)
-    bits = n.bit_length() - 1
-    for b in range(bits):
-        rev |= ((idx >> b) & 1) << (bits - 1 - b)
-    a = a[..., rev]
-    length = 2
-    while length <= n:
-        w = pow(_NTT_ROOT, (p - 1) // length, p)
-        if invert:
-            w = pow(w, p - 2, p)
-        ws = np.empty(length // 2, np.int64)
-        acc = 1
-        for i in range(length // 2):
-            ws[i] = acc
-            acc = acc * w % p
-        blocks = a.reshape(*a.shape[:-1], n // length, length)
-        lo = blocks[..., : length // 2]
-        hi = blocks[..., length // 2 :]
-        t = (hi * ws) % p  # operands < 2^30, products < 2^60: no overflow
-        new_lo = (lo + t) % p
-        new_hi = (lo - t) % p
-        a = np.concatenate([new_lo, new_hi], axis=-1).reshape(*a.shape)
-        length *= 2
-    if invert:
-        inv_n = pow(n, p - 2, p)
-        a = a * inv_n % p
-    return a
+def _pack(entry: tuple[int, ...], width: int) -> int:
+    return int.from_bytes(b"".join(c.to_bytes(width, "little") for c in entry), "little")
+
+
+def _unpack(value: int, slots: int, width: int) -> tuple[int, ...]:
+    buf = value.to_bytes(slots * width, "little")
+    return tuple(
+        int.from_bytes(buf[t : t + width], "little") for t in range(0, len(buf), width)
+    )
 
 
 def poly_multiply(a: PolyMatrix, b: PolyMatrix) -> PolyMatrix:
+    """Exact product by Kronecker substitution.
+
+    Each entry becomes one int with one coefficient per byte slot, so an
+    int product is a polynomial product.  A slot holds the largest
+    possible output coefficient, so sums never carry between slots.
+    """
     if a.cols != b.rows:
         raise ValueError(f"inner dimensions differ: {a.cols} vs {b.rows}")
-    d = max(a.degree, b.degree)
-    max_a = int(a.coeffs.max(initial=0))
-    max_b = int(b.coeffs.max(initial=0))
-    budget = a.cols * (d + 1) * max_a * max_b
-    if budget >= _NTT_PRIME:
-        raise OverflowError(
-            f"coefficient budget {budget} exceeds the exact transform modulus"
-        )
-    if a.cols > (1 << 18):
-        raise OverflowError("inner dimension too large for int64 accumulation")
-    out_deg = 2 * d
-    n = 1
-    while n < out_deg + 1:
-        n *= 2
-    fa = np.zeros((a.rows, a.cols, n), np.int64)
-    fa[:, :, : a.degree + 1] = a.coeffs
-    fb = np.zeros((b.rows, b.cols, n), np.int64)
-    fb[:, :, : b.degree + 1] = b.coeffs
-    fa = _ntt(fa, invert=False)
-    fb = _ntt(fb, invert=False)
-    # Pointwise matrix products mod p; split into 15-bit halves so the
-    # int64 accumulation never overflows.
-    p = _NTT_PRIME
-    a_hi, a_lo = fa >> 15, fa & 0x7FFF
-    prod = (
-        np.einsum("ikt,kjt->ijt", a_hi, fb) % p * (1 << 15)
-        + np.einsum("ikt,kjt->ijt", a_lo, fb)
-    ) % p
-    out = _ntt(prod, invert=True)[:, :, : out_deg + 1]
-    return PolyMatrix(a.rows, b.cols, out_deg, out.astype(np.int64))
+    out_deg = 2 * max(a.degree, b.degree)
+    max_a = max(c for row in a.coeffs for entry in row for c in entry)
+    max_b = max(c for row in b.coeffs for entry in row for c in entry)
+    if not (max_a and max_b):
+        return PolyMatrix.zero(a.rows, b.cols, out_deg)
+    bound = a.cols * (min(a.degree, b.degree) + 1) * max_a * max_b
+    width = -(-bound.bit_length() // 8)
+    pa = [[_pack(entry, width) for entry in row] for row in a.coeffs]
+    pb = [[_pack(entry, width) for entry in row] for row in b.coeffs]
+    out = [
+        [
+            _unpack(
+                sum(x * brow[j] for x, brow in zip(arow, pb) if x and brow[j]),
+                out_deg + 1,
+                width,
+            )
+            for j in range(b.cols)
+        ]
+        for arow in pa
+    ]
+    return PolyMatrix(a.rows, b.cols, out_deg, out)

@@ -235,6 +235,41 @@ class TestTypedSolvers:
             p, u, members, _ = typed_ap_instance(rng, ell, label)
             assert entry(p, u, members, ell) == brute_ap(p, u, members)
 
+    @pytest.mark.parametrize(
+        "root, ell, poly_calls",
+        [("a", 32, 4), ("ab", 160, 1), ("ab", 1024, 0), ("aabbabb", 64, 1),
+         ("aabbabb", 1024, 0)],
+    )
+    def test_type3_both_routes_at_m_2048(self, monkeypatch, root, ell, poly_calls):
+        # Three c's cut P into runs of 200, 299, 199 and 1347 letters.  A
+        # (root, run) pair takes the polynomial product when some member has
+        # few root copies for the run's length; longer members are
+        # enumerated directly.  poly_calls counts the pairs of the first kind.
+        m = 2048
+        letters = list((root * m)[:m])
+        for q in (200, 500, 700):
+            letters[q] = "c"
+        p = "".join(letters)
+        rng = random.Random(len(root) * ell)
+        u = BitVector(m, rng.getrandbits(m) | 1)
+        lengths = [n for n in range(ell, 2 * ell) if 8 * n >= 9 * ell and 4 * n < 5 * ell]
+        members = []
+        for _ in range(6):
+            length = rng.choice(lengths)
+            k = rng.randint(701, m - length)
+            members.append(p[k : k + length])
+        calls = []
+        real = ap_engine.poly_multiply
+
+        def counting(a, b):
+            calls.append(1)
+            return real(a, b)
+
+        monkeypatch.setattr(ap_engine, "poly_multiply", counting)
+        got = solve_type3(p, u, members, ell)
+        assert len(calls) == poly_calls
+        assert got.mask and got == brute_ap(p, u, members)
+
     def test_type_mismatch_rejected(self):
         p = Pattern("a" * 40)
         u = BitVector(40)

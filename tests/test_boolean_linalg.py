@@ -1,6 +1,5 @@
 import random
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -19,25 +18,24 @@ from edsm.oracles import naive_bool_multiply
 from conftest import random_bool_matrix
 
 
-def naive_poly_multiply(a: PolyMatrix, b: PolyMatrix) -> np.ndarray:
-    out = np.zeros((a.rows, b.cols, a.degree + b.degree + 1), dtype=object)
+def naive_poly_multiply(a: PolyMatrix, b: PolyMatrix) -> list[list[list[int]]]:
+    out = [[[0] * (a.degree + b.degree + 1) for _ in range(b.cols)] for _ in range(a.rows)]
     for i in range(a.rows):
         for j in range(b.cols):
             for k in range(a.cols):
                 for ta in range(a.degree + 1):
                     for tb in range(b.degree + 1):
-                        out[i, j, ta + tb] += int(a.coeffs[i, k, ta]) * int(
-                            b.coeffs[k, j, tb]
+                        out[i][j][ta + tb] += a.coeff(i + 1, k + 1, ta) * b.coeff(
+                            k + 1, j + 1, tb
                         )
     return out
 
 
 def random_poly(rng: random.Random, rows: int, cols: int, degree: int, hi: int) -> PolyMatrix:
-    coeffs = np.array(
-        [[[rng.randint(0, hi) for _ in range(degree + 1)] for _ in range(cols)]
-         for _ in range(rows)],
-        dtype=np.int64,
-    )
+    coeffs = [
+        [[rng.randint(0, hi) for _ in range(degree + 1)] for _ in range(cols)]
+        for _ in range(rows)
+    ]
     return PolyMatrix(rows, cols, degree, coeffs)
 
 
@@ -56,6 +54,11 @@ class TestBoolMatrix:
         assert m.get(1, 3) == 1 and m.get(2, 3) == 0
         with pytest.raises(IndexError):
             m.get(3, 1)
+
+    @pytest.mark.parametrize("rows", [[], [[]], [[1, 0], [1]], [[1], [1, 0]]])
+    def test_from_rows_rejects_empty_and_ragged(self, rows):
+        with pytest.raises(ValueError):
+            BoolMatrix.from_rows(rows)
 
     def test_identity_is_neutral(self):
         rng = random.Random(0)
@@ -119,11 +122,9 @@ class TestBoolProducts:
 class TestPolyProducts:
     def test_shape_validation(self):
         with pytest.raises(ValueError):
-            PolyMatrix(1, 1, 1, np.zeros((1, 1, 1), np.int64))
+            PolyMatrix(1, 1, 1, [[[0]]])
         with pytest.raises(ValueError):
-            PolyMatrix(1, 1, 0, np.array([[[-1]]], dtype=np.int64))
-        with pytest.raises(ValueError):
-            PolyMatrix(1, 1, 0, np.zeros((1, 1, 1), np.int32))
+            PolyMatrix(1, 1, 0, [[[-1]]])
 
     @given(
         st.integers(1, 6),
@@ -144,19 +145,44 @@ class TestPolyProducts:
         for i in range(r):
             for j in range(c):
                 for t in range(da + db + 1):
-                    assert got.coeff(i + 1, j + 1, t) == int(want[i, j, t])
+                    assert got.coeff(i + 1, j + 1, t) == want[i][j][t]
                 for t in range(da + db + 1, got.degree + 1):
                     assert got.coeff(i + 1, j + 1, t) == 0
 
-    def test_budget_guard(self):
-        big = PolyMatrix(
-            1, 1, 0, np.array([[[50_000]]], dtype=np.int64)
-        )
-        with pytest.raises(OverflowError):
-            poly_multiply(big, big)
+    def test_exact_coefficients_above_998244353(self):
+        # A transform modulo the prime 998244353 cannot recover coefficients
+        # above it; these products need that and must still be exact.
+        big = PolyMatrix(1, 1, 0, [[[50_000]]])
+        assert poly_multiply(big, big).coeff(1, 1, 0) == 2_500_000_000
+        rng = random.Random(12)
+        a = random_poly(rng, 2, 3, 4, 10**9)
+        b = random_poly(rng, 3, 2, 2, 10**9)
+        got = poly_multiply(a, b)
+        want = naive_poly_multiply(a, b)
+        assert got.degree == 8
+        for i in range(2):
+            for j in range(2):
+                assert list(got.coeffs[i][j]) == want[i][j] + [0, 0]
+        assert max(want[0][0]) > 998244353
+
+    @pytest.mark.parametrize("k, d", [(1, 255), (256, 0), (16, 15)])
+    def test_coefficient_at_the_slot_bound(self, k, d):
+        # All-ones factors make the middle coefficient k * (d + 1) = 256,
+        # the largest the slot must hold and one more than a byte does.
+        a = PolyMatrix(1, k, d, [[[1] * (d + 1)] * k])
+        b = PolyMatrix(k, 1, d, [[[1] * (d + 1)]] * k)
+        got = poly_multiply(a, b)
+        want = [k * (min(t, 2 * d - t) + 1) for t in range(2 * d + 1)]
+        assert list(got.coeffs[0][0]) == want and want[d] == 256
+
+    def test_zero_factor_gives_zero_product(self):
+        big = PolyMatrix(2, 1, 1, [[[300, 1]], [[0, 70_000]]])
+        for a, b in ((PolyMatrix.zero(1, 2, 2), big), (big, PolyMatrix.zero(1, 3, 0))):
+            got = poly_multiply(a, b)
+            assert got == PolyMatrix.zero(a.rows, b.cols, 2 * max(a.degree, b.degree))
 
     def test_exact_large_coefficients_within_budget(self):
-        a = PolyMatrix(1, 1, 1, np.array([[[15_000, 1]]], dtype=np.int64))
-        b = PolyMatrix(1, 1, 1, np.array([[[15_000, 2]]], dtype=np.int64))
+        a = PolyMatrix(1, 1, 1, [[[15_000, 1]]])
+        b = PolyMatrix(1, 1, 1, [[[15_000, 2]]])
         got = poly_multiply(a, b)
         assert [got.coeff(1, 1, t) for t in range(3)] == [225_000_000, 45_000, 2]
