@@ -5,9 +5,13 @@ set S, compute V with V[j]=1 iff some U[i]=1 extends by a member to
 P[1..j].
 
 By default every member shorter than P goes through one occurrence-mask
-kernel: occ(s) marks the start positions of s in P (found with
-``str.find``), and V |= ((U << 1) & occ(s)) << (|s| - 1).  The masks are
-cached per solver within a fixed memory budget.
+kernel: occ(s) marks the start positions of s in P (``occ_mask``, a
+``str.find`` loop), and V |= ((U << 1) & occ(s)) << (|s| - 1).  The
+masks are cached per solver within a fixed memory budget.  The search
+engine does not call this kernel for such members: it keeps its own
+per-alternative records (see ``edsm_engine``), which call the same
+``occ_mask`` and keep a cache of the same budget, and calls ``solve``
+only for the classed route.
 
 An explicit ``naive_cutoff`` (at least 23) selects the paper's classed
 pipeline instead for members longer than the cutoff: they are
@@ -104,6 +108,16 @@ class _BudgetCache(dict):
             self.used = 0
         self[key] = value
         self.used += cost
+
+
+def occ_mask(p: str, s: str) -> int:
+    """Bit k set iff s occurs in p at 0-based offset k."""
+    occ = 0
+    k = p.find(s)
+    while k >= 0:
+        occ |= 1 << k
+        k = p.find(s, k + 1)
+    return occ
 
 
 def _ceil_log2(m: int) -> int:
@@ -284,11 +298,7 @@ class APSolver:
         for s in strings:
             occ = cache.get(s)
             if occ is None:
-                occ = 0
-                k = p.find(s)
-                while k >= 0:
-                    occ |= 1 << k
-                    k = p.find(s, k + 1)
+                occ = occ_mask(p, s)
                 cache.put(s, occ, len(s) + entry_cost)
             hit = shifted & occ
             if hit:

@@ -49,6 +49,8 @@ class BoolMatrix:
         for row in rows:
             mask = 0
             for j, cell in enumerate(row):
+                if not (isinstance(cell, int) and cell in (0, 1)):
+                    raise ValueError(f"cell {cell!r} is not 0 or 1")
                 if cell:
                     mask |= 1 << j
             packed.append(mask)

@@ -5,15 +5,25 @@ engine applies four effects to the active-prefix state U:
 
 * FULL-INSIDE: the pattern occurs inside an alternative (substring search);
 * START: suffixes of an alternative that are pattern prefixes activate
-  their lengths (failure chain of a KMP state over its last m letters);
+  their lengths;
 * EXTEND: the Active Prefixes subproblem over alternatives shorter than
   the pattern, plus the epsilon carry;
 * END: an active prefix completed by a prefix of an alternative reports
-  the current segment (failure chain of a KMP state of reversed P over
-  its first m - 1 letters, read backwards).
+  the current segment.
 
-So the Python KMP loop reads at most m letters at each end of an
-alternative; the rest of it is read only by the substring search.
+Each effect is a mask that does not depend on U, so every distinct
+alternative s gets one cached record per engine: FULL and START when s
+is first seen, END the first time s meets U != 0.  START and END take
+the longest suffix of s[-m:] that is a prefix of P (resp. the longest
+prefix of s[:m-1] that is a suffix of P) from C string search, which
+steps over periodic stretches and falls back to a KMP loop when failed
+candidates pile up; the shorter lengths come from P's border chain, one
+periodic run of it at a time.  EXTEND for |s| < m tests each active
+length k with ``P.startswith(s, k)`` the first time s meets U != 0;
+from the second meeting on it uses the cached occurrence mask occ(s),
+as ((U << 1) & occ(s)) << (|s| - 1).  With an explicit
+``naive_cutoff``, members longer than the cutoff go to the solver's
+classed route instead.
 """
 
 from __future__ import annotations
@@ -21,7 +31,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable
 
-from .ap_engine import APSolver
+from .ap_engine import _ENTRY_OVERHEAD, OCC_CACHE_BYTES, APSolver, _BudgetCache, occ_mask
 from .eds_core import BitVector, EDString, Pattern, Segment
 from .stringology import border_array
 
@@ -40,10 +50,108 @@ def _kmp_state(t: str, pat: str, pf: list[int]) -> int:
     return q
 
 
+def _common_prefix(a: str, i: int, b: str, j: int) -> int:
+    """Length of the longest common prefix of a[i:] and b[j:], by binary
+    search over C comparisons."""
+    lo, hi = 0, min(len(a) - i, len(b) - j)
+    while lo < hi:
+        mid = (lo + hi + 1) // 2
+        if b.startswith(a[i : i + mid], j):
+            lo = mid
+        else:
+            hi = mid - 1
+    return lo
+
+
+def _longest_suffix_prefix(t: str, pat: str, pf: list[int]) -> int:
+    """Same answer as _kmp_state(t, pat, pf), found by C string search.
+
+    A suffix of at least 8 letters starts where t holds pat[:8], and the
+    first start, left to right, whose suffix pat begins with gives the
+    longest.  A failed start k also rules out later starts: t[k:] agrees
+    with pat on q letters, P[:q] has smallest period d, and t keeps
+    period d for e letters from k.  A start k + jd fails if pat breaks
+    the period first (e - jd > q) or t does (d <= e - jd < q, with t
+    going on after k + e); a start at another phase differs from pat
+    within d letters, as the root of P[:q] is primitive.  So the search
+    resumes at k + e - d + 1, or earlier at the one start k + jd these
+    rules leave open, and a periodic stretch costs one jump.  Suffixes
+    under 8 letters start at a copy of pat[0] among the last 7 letters.
+    If the failed starts still span more than 4|t| letters, the KMP loop
+    answers; it also answers outright when t is shorter than pat[:8]: a
+    few letters cost less in the loop than in C calls.
+    """
+    n = len(t)
+    head = pat[:8]
+    if n < len(head):
+        return _kmp_state(t, pat, pf)
+    budget = 4 * n
+    k = t.find(head)
+    while k >= 0:
+        budget -= n - k
+        if budget < 0:
+            return _kmp_state(t, pat, pf)
+        if pat.startswith(t[k:]):
+            return n - k
+        q = _common_prefix(pat, 0, t, k)
+        d = q - pf[q - 1]
+        e = d + _common_prefix(t, k, t, k + d)
+        j = max(1, -(-(e - q) // d))  # first j with e - jd <= q
+        resume = k + e - d + 1
+        if e - j * d == q or k + e == n:
+            resume = min(resume, k + j * d)
+        k = t.find(head, resume)
+    first = pat[0]
+    k = t.find(first, n - len(head) + 1)
+    while k >= 0:
+        if pat.startswith(t[k:]):
+            return n - k
+        k = t.find(first, k + 1)
+    return 0
+
+
+def _border_runs(i: int, pf: list[int]):
+    """The border chain i, pf[i-1], ... > 0 of a prefix P[:i], as runs
+    (low, d, count) of the lengths low, low + d, ..., low + (count-1)d.
+
+    If P[:i] has smallest period d, each length b = i - jd >= 2d has
+    smallest period d as well (a smaller d' would make gcd(d, d') a
+    period of P[:b] by Fine and Wilf, and so of P[:i]), so its longest
+    border is b - d: the chain steps down by d until it is below 2d,
+    and a periodic stretch of any length is one run.
+    """
+    while i:
+        d = i - pf[i - 1]
+        count = i // d
+        low = i - (count - 1) * d
+        yield low, d, count
+        i = pf[low - 1]
+
+
+def _spaced_bits(d: int, count: int) -> int:
+    """Bits 0, d, ..., (count-1)d."""
+    return ((1 << (d * count)) - 1) // ((1 << d) - 1) if count > 1 else 1
+
+
+class _Record:
+    """Cached effects of one alternative s: FULL, the START mask, the END
+    mask (None until s first meets U != 0) and occ(s) (None until its
+    second meeting)."""
+
+    __slots__ = ("full", "start", "end", "occ")
+
+    def __init__(self, full: bool, start: int):
+        self.full = full
+        self.start = start
+        self.end = None
+        self.occ = None
+
+
 @dataclass
 class MatchState:
     u: BitVector
     reported: set[int] = field(default_factory=set)
+    letters: int = 0
 
 
 @dataclass(frozen=True)
@@ -69,40 +177,86 @@ class EDSMEngine:
         self.pf = border_array(letters)
         self.pf_rev = border_array(self.rev)
         self.solver = APSolver(self.pattern, naive_cutoff)
+        # An entry costs its key's letters, three m-bit masks and overhead.
+        self._records = _BudgetCache(OCC_CACHE_BYTES)
+        self._entry_cost = 3 * (self.m // 8) + _ENTRY_OVERHEAD
 
     def new_state(self) -> MatchState:
         return MatchState(BitVector(self.m))
 
-    def process_segment(self, state: MatchState, seg: Segment, j: int) -> MatchState:
+    def _record(self, s: str) -> _Record:
         m, p, pf = self.m, self.p, self.pf
-        u_prev = state.u.mask
+        start = 0
+        for low, d, count in _border_runs(_longest_suffix_prefix(s[-m:], p, pf), pf):
+            start |= _spaced_bits(d, count) << (low - 1)
+        rec = _Record(len(s) >= m and p in s, start)
+        self._records.put(s, rec, len(s) + self._entry_cost)
+        return rec
+
+    def _end(self, rec: _Record, s: str) -> int:
+        """Bit m-q-1 for each q such that s starts with the last q letters of P."""
+        m, pf_rev = self.m, self.pf_rev
+        end = 0
+        q = _longest_suffix_prefix(s[: m - 1][::-1], self.rev, pf_rev)
+        for low, d, count in _border_runs(q, pf_rev):
+            end |= _spaced_bits(d, count) << (m - low - 1 - (count - 1) * d)
+        rec.end = end
+        return end
+
+    def process_segment(self, state: MatchState, seg: Segment, j: int) -> MatchState:
+        m, p = self.m, self.p
+        records = self._records
+        cutoff = self.solver.cutoff
+        u = state.u.mask
+        shifted = u << 1
         u_next = 0
         report = False
-        extendables: list[str] = []
+        letters = 0
+        classed: tuple[str, ...] = ()
         for s in seg.alternatives:
-            if s == "":
-                u_next |= u_prev
+            n = len(s)
+            if not n:
+                u_next |= u
                 continue
-            if len(s) < m:
-                extendables.append(s)
-            elif p in s:
+            letters += n
+            rec = records.get(s)
+            if rec is None:
+                rec = self._record(s)
+            u_next |= rec.start
+            if rec.full:
                 report = True
-            # START: suffixes of s (at most m letters) that are prefixes of P.
-            i = _kmp_state(s[-m:], p, pf)
-            while i > 0:
-                u_next |= 1 << (i - 1)
-                i = pf[i - 1]
-            # END: prefixes of s (at most m - 1 letters) that are suffixes of P.
-            if u_prev and not report:
-                i = _kmp_state(s[: m - 1][::-1], self.rev, self.pf_rev)
-                while i > 0:
-                    if (u_prev >> (m - i - 1)) & 1:
-                        report = True
-                        break
-                    i = self.pf_rev[i - 1]
-        if u_prev and extendables:
-            u_next |= self.solver.solve(BitVector(m, u_prev), extendables).mask
+            if not u:
+                continue
+            end = rec.end
+            first = end is None
+            if first:
+                end = self._end(rec, s)
+            if u & end:
+                report = True
+            if n >= m:
+                continue
+            if n > cutoff:
+                classed += (s,)
+            elif first:
+                # Active lengths k <= m - n, each extended to k + n if P
+                # holds s at offset k.
+                w = u & ((1 << (m - n)) - 1)
+                while w:
+                    low = w & -w
+                    if p.startswith(s, low.bit_length()):
+                        u_next |= low << n
+                    w ^= low
+            else:
+                occ = rec.occ
+                if occ is None:
+                    occ = rec.occ = occ_mask(p, s)
+                hit = shifted & occ
+                if hit:
+                    u_next |= hit << (n - 1)
+        if classed:
+            u_next |= self.solver.solve(BitVector(m, u), classed).mask
         state.u = BitVector(m, u_next)
+        state.letters += letters
         if report:
             state.reported.add(j)
         return state
@@ -110,14 +264,12 @@ class EDSMEngine:
     def search(self, segments: Iterable[Segment]) -> MatchReport:
         state = self.new_state()
         n = 0
-        total = 0
         for seg in segments:
             n += 1
-            total += seg.size
             self.process_segment(state, seg, n)
         if n == 0:
             raise ValueError("empty ED text")
-        return MatchReport(tuple(sorted(state.reported)), n, total)
+        return MatchReport(tuple(sorted(state.reported)), n, state.letters)
 
 
 def search(p: Pattern | str, t: EDString | Iterable[Segment],

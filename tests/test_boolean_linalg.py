@@ -60,6 +60,14 @@ class TestBoolMatrix:
         with pytest.raises(ValueError):
             BoolMatrix.from_rows(rows)
 
+    @pytest.mark.parametrize("cell", ["x", 2, -1, 0.5, 1.0, None])
+    def test_from_rows_rejects_cells_other_than_0_and_1(self, cell):
+        with pytest.raises(ValueError):
+            BoolMatrix.from_rows([[1, 0], [0, cell]])
+
+    def test_from_rows_takes_bools(self):
+        assert BoolMatrix.from_rows([[True, False]]).data == (1,)
+
     def test_identity_is_neutral(self):
         rng = random.Random(0)
         m = random_bool_matrix(rng, 7, 7)

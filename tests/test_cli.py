@@ -115,6 +115,18 @@ class TestGenerateVerify:
         assert main(["verify", "--instance", str(out)]) == 3
         assert "disagreement" in capsys.readouterr().err
 
+    def test_non_boolean_sidecar_cells_exit_3(self, tmp_path, capsys):
+        out = tmp_path / "inst"
+        main(["generate", "td", "--n", "4", "--s", "2", "--seed", "1",
+              "--out", str(out)])
+        sidecar_path = tmp_path / "inst.json"
+        sidecar = json.loads(sidecar_path.read_text())
+        sidecar["a"] = [["x"] * len(row) for row in sidecar["a"]]
+        sidecar_path.write_text(json.dumps(sidecar))
+        capsys.readouterr()
+        assert main(["verify", "--instance", str(out)]) == 3
+        assert "disagreement" in capsys.readouterr().err
+
     def test_unreadable_sidecar_exits_3(self, tmp_path):
         bad = tmp_path / "broken"
         (tmp_path / "broken.json").write_text("{not json")

@@ -1,11 +1,16 @@
+import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from edsm import edsm_engine
+from edsm import ap_engine, edsm_engine
+from edsm.ap_engine import OCC_CACHE_BYTES
 from edsm.eds_core import BitVector, EDString, Pattern, Segment, parse_eds
 from edsm.edsm_engine import EDSMEngine, MatchReport, search
 from edsm.oracles import brute_active_states, brute_edsm
+from edsm.stringology import border_array
 
 from conftest import random_edstring, random_pattern
 
@@ -209,15 +214,243 @@ class TestBoundedScans:
         segs = [Segment(frozenset({p[:10]})),
                 Segment(frozenset({p[10:] + body + p[:7], "ab"})),
                 Segment(frozenset({body[:50_000] + p + body[50_000:]}))]
-        lengths = []
+        scanned = []
+        kmp_read = []
+        scan = edsm_engine._longest_suffix_prefix
         kmp_state = edsm_engine._kmp_state
 
-        def recording(t, pat, pf):
-            lengths.append(len(t))
+        def recording_scan(t, pat, pf):
+            scanned.append(len(t))
+            return scan(t, pat, pf)
+
+        def recording_kmp(t, pat, pf):
+            kmp_read.append(len(t))
             return kmp_state(t, pat, pf)
 
-        monkeypatch.setattr(edsm_engine, "_kmp_state", recording)
+        monkeypatch.setattr(edsm_engine, "_longest_suffix_prefix", recording_scan)
+        monkeypatch.setattr(edsm_engine, "_kmp_state", recording_kmp)
         report = search(p, EDString(tuple(segs)))
         assert report.positions == (2, 3)
-        assert lengths and max(lengths) <= m
-        assert {m, m - 1} <= set(lengths)
+        assert scanned and max(scanned) <= m
+        assert {m, m - 1} <= set(scanned)
+        assert max(kmp_read, default=0) <= m
+
+
+# Pattern families for the START/END scan: a^m, (ab)^k, a^(m-1)b, a^8 b
+# then random letters, a periodic run then random letters, and random
+# letters with a tagged U+E000 symbol.
+def _scan_pattern(kind: str, m: int, rng: random.Random) -> str:
+    if kind == "a":
+        return "a" * m
+    if kind == "ab":
+        return ("ab" * m)[:m]
+    if kind == "a..ab":
+        return "a" * (m - 1) + "b"
+    if kind == "a8b":
+        return ("a" * 8 + "b" + "".join(rng.choice("ab") for _ in range(m)))[:m]
+    if kind == "run":
+        root = "".join(rng.choice("ab") for _ in range(rng.randint(1, 6)))
+        rest = "".join(rng.choice("abc") for _ in range(m))
+        return ((root * m)[: rng.randint(0, m)] + rest)[:m]
+    return "".join(rng.choice("ab\ue000") for _ in range(m))
+
+
+# Text families: the periodic ones put a start that holds pat[:8] at
+# every period; (a^8 c)^k puts one every 9 letters, each failing after 8,
+# which piles up failed starts until the KMP fallback answers.
+def _scan_text(kind: str, n: int, p: str, rng: random.Random) -> str:
+    if kind == "a":
+        return "a" * n
+    if kind == "ab":
+        return ("ab" * n)[:n]
+    if kind == "a8c":
+        return (("a" * 8 + "c") * n)[rng.randrange(9) :][:n]
+    if kind == "periodic":
+        root = "".join(rng.choice("ab") for _ in range(rng.randint(1, 6)))
+        t = list((root * n)[:n])
+        if t and rng.random() < 0.5:
+            t[rng.randrange(n)] = rng.choice("abc")
+        return "".join(t)
+    if kind == "ends-with-prefix":
+        q = rng.randint(0, n)
+        return "".join(rng.choice("ab\ue000") for _ in range(n - q)) + p[:q]
+    if kind == "rotation":
+        shift = rng.randrange(len(p))
+        return ((p * 3)[shift:] * 2)[:n]
+    return "".join(rng.choice("ab\ue000") for _ in range(n))
+
+
+SCAN_PATTERNS = ["a", "ab", "a..ab", "a8b", "run", "random"]
+SCAN_TEXTS = ["a", "ab", "a8c", "periodic", "ends-with-prefix", "rotation", "random"]
+
+
+class TestSuffixPrefixScan:
+    @given(st.sampled_from(SCAN_PATTERNS), st.integers(1, 90),
+           st.sampled_from(SCAN_TEXTS), st.integers(0, 2**32))
+    @settings(max_examples=500, deadline=None)
+    def test_matches_kmp(self, pkind, m, tkind, seed):
+        rng = random.Random(seed)
+        p = _scan_pattern(pkind, m, rng)
+        pf = border_array(p)
+        for n in sorted({1, 7, 8, m - 1, m, rng.randint(0, m)}):
+            if 0 <= n <= m:
+                t = _scan_text(tkind, n, p, rng)
+                got = edsm_engine._longest_suffix_prefix(t, p, pf)
+                assert got == edsm_engine._kmp_state(t, p, pf), (p, t)
+        # The reversed scan, as END runs it.
+        rev = p[::-1]
+        t = _scan_text(tkind, m - 1, p, rng)[::-1]
+        assert edsm_engine._longest_suffix_prefix(t, rev, border_array(rev)) == \
+            edsm_engine._kmp_state(t, rev, border_array(rev))
+
+    @given(st.sampled_from(SCAN_PATTERNS), st.integers(1, 60), st.integers(0, 2**32))
+    @settings(max_examples=200, deadline=None)
+    def test_border_runs_spell_the_border_chain(self, pkind, m, seed):
+        rng = random.Random(seed)
+        p = _scan_pattern(pkind, m, rng)
+        root = "".join(rng.choice("ab") for _ in range(rng.randint(1, 5)))
+        for q in (p, (root * m)[: m // 2] + p[m // 2 :]):
+            pf = border_array(q)
+            for i in range(m + 1):
+                chain = []
+                j = i
+                while j:
+                    chain.append(j)
+                    j = pf[j - 1]
+                runs = [low + k * d for low, d, count in edsm_engine._border_runs(i, pf)
+                        for k in range(count)]
+                assert sorted(runs, reverse=True) == chain
+
+    def test_fallback_only_when_failed_starts_pile_up(self, monkeypatch):
+        calls = []
+        kmp_state = edsm_engine._kmp_state
+
+        def counting(t, pat, pf):
+            calls.append(len(t))
+            return kmp_state(t, pat, pf)
+
+        monkeypatch.setattr(edsm_engine, "_kmp_state", counting)
+        scan = edsm_engine._longest_suffix_prefix
+        m = 128
+        p = "a" * 8 + "b" + "a" * (m - 9)
+        pf = border_array(p)
+        # Every start of a^m holds a^8 and fails after 8 letters; one jump
+        # over the periodic stretch passes them all.
+        assert scan("a" * m, p, pf) == 8
+        rng = random.Random(28)
+        q = "".join(rng.choice("ab") for _ in range(m))
+        for n in (8, 20, m - 1, m):
+            t = "".join(rng.choice("ab") for _ in range(n - 12)) + q[:12]
+            assert scan(t, q, border_array(q)) >= 12
+        assert calls == []
+        # (a^8 c)^k: a failed start every 9 letters, no period to jump.
+        t = ("a" * 8 + "c") * 14 + "aa"
+        assert scan(t, p, pf) == 2
+        assert len(calls) == 1
+
+
+def _count_occ_masks(monkeypatch) -> list[str]:
+    """Count calls of the occurrence-mask search, wherever it is called from."""
+    calls: list[str] = []
+    occ_mask = ap_engine.occ_mask
+
+    def counting(p, s):
+        calls.append(s)
+        return occ_mask(p, s)
+
+    monkeypatch.setattr(ap_engine, "occ_mask", counting)
+    monkeypatch.setattr(edsm_engine, "occ_mask", counting)
+    return calls
+
+
+def _states(engine: EDSMEngine, segs) -> tuple[list[set[int]], tuple[int, ...]]:
+    state = engine.new_state()
+    got = []
+    for j, seg in enumerate(segs, 1):
+        state = engine.process_segment(state, seg, j)
+        got.append(set(state.u.ones()))
+    return got, tuple(sorted(state.reported))
+
+
+class TestAlternativeRecords:
+    @pytest.mark.parametrize("cutoff", [None, 23])
+    def test_states_when_an_alternative_meets_u_once_twice_thrice(self, cutoff, monkeypatch):
+        # s = P[k:k+L] is the only alternative that repeats.  Its first
+        # meeting with U != 0 extends per active bit, later ones through
+        # occ(s), computed once; with naive_cutoff=23 an s longer than 23
+        # takes the classed route and no mask at all.
+        calls = _count_occ_masks(monkeypatch)
+        rng = random.Random(26)
+        for trial in range(24):
+            m = rng.randint(30, 60)
+            p = "".join(rng.choice("ab") for _ in range(m))
+            length = rng.randint(1, m - 2) if trial % 2 else rng.randint(24, m - 2)
+            k = rng.randint(1, m - length - 1)
+            s = p[k : k + length]
+            if s in (p[:k], p[k + length :]):
+                continue  # s must appear only where it is planted
+            segs = []
+            for meeting in range(3):
+                decoy = "".join(rng.choice("ab") for _ in range(rng.randint(1, m + 4)))
+                segs += [Segment(frozenset({p[:k], "c" * (meeting + 1)})),
+                         Segment(frozenset({s, decoy + "c"})),
+                         Segment(frozenset({p[k + length :], ""}))]
+            t = EDString(tuple(segs))
+            engine = EDSMEngine(p, naive_cutoff=cutoff)
+            del calls[:]
+            got, reported = _states(engine, segs)
+            assert got == brute_active_states(p, segs)
+            assert reported == tuple(brute_edsm(p, t, window_cap=t.n))
+            assert {3, 6, 9} <= set(reported)
+            assert calls.count(s) == (1 if length <= engine.solver.cutoff else 0)
+
+    def test_long_alternatives_met_once_search_no_masks(self, monkeypatch):
+        calls = _count_occ_masks(monkeypatch)
+        rng = random.Random(29)
+        m = 200
+        p = "".join(rng.choice("ab") for _ in range(m))
+        cuts = [(40, 120), (60, 150), (40, 120)]
+        # A c-run of m letters clears U, so that each P prefix meets U = 0;
+        # the middle piece meets the prefix before it, the two tail pieces
+        # differ from round to round.
+        def text(rounds):
+            segs = []
+            for r, (a, b) in enumerate(rounds):
+                c = b + 10 + 5 * r
+                junk = "".join(rng.choice("abc") for _ in range(rng.randint(50, 150)))
+                segs += [Segment(frozenset({"c" * m})),
+                         Segment(frozenset({p[:a]})),
+                         Segment(frozenset({p[a:b], junk})),
+                         Segment(frozenset({p[b:c]})),
+                         Segment(frozenset({p[c:]}))]
+            return EDString(tuple(segs))
+
+        once = text(cuts[:2])
+        assert search(p, once).positions == tuple(brute_edsm(p, once, window_cap=once.n))
+        assert search(p, once).positions == (5, 10)
+        assert calls == []
+        twice = text(cuts)
+        assert search(p, twice).positions == (5, 10, 15)
+        assert calls == [p[40:120]]
+
+    def test_record_cache_stays_within_budget(self):
+        # 2^16 distinct alternatives of 16 letters cost more than the budget.
+        rng = random.Random(27)
+        m = 24
+        p = "".join(rng.choice("ab") for _ in range(m))
+        members = ["".join(bits) for bits in itertools.product("ab", repeat=16)]
+        rng.shuffle(members)
+        assert len(members) * (16 + 3 * (m // 8) + ap_engine._ENTRY_OVERHEAD) > OCC_CACHE_BYTES
+        k = len(members) // 4
+        segs = [Segment(frozenset(members[i : i + k])) for i in range(0, len(members), k)]
+        t = EDString(tuple(segs))
+        engine = EDSMEngine(p)
+        state = engine.new_state()
+        got = []
+        for j, seg in enumerate(segs, 1):
+            state = engine.process_segment(state, seg, j)
+            got.append(set(state.u.ones()))
+            assert engine._records.used <= OCC_CACHE_BYTES
+        assert len(engine._records) < len(members)
+        assert got == brute_active_states(p, segs)
+        assert tuple(sorted(state.reported)) == tuple(brute_edsm(p, t, window_cap=t.n))
