@@ -9,9 +9,10 @@ kernel: occ(s) marks the start positions of s in P (``occ_mask``, a
 ``str.find`` loop), and V |= ((U << 1) & occ(s)) << (|s| - 1).  The
 masks are cached per solver within a fixed memory budget.  The search
 engine does not call this kernel for such members: it keeps its own
-per-alternative records (see ``edsm_engine``), which call the same
-``occ_mask`` and keep a cache of the same budget, and calls ``solve``
-only for the classed route.
+per-alternative records in a cache of the same budget (see
+``edsm_engine``), one overlap mask for a member of at most 32 letters
+and the same ``occ_mask`` for a longer one, and calls ``solve`` only
+for the classed route.
 
 An explicit ``naive_cutoff`` (at least 23) selects the paper's classed
 pipeline instead for members longer than the cutoff: they are
@@ -95,7 +96,8 @@ class LengthClass:
 
 
 class _BudgetCache(dict):
-    """Dict that empties itself when an insertion would exceed its budget."""
+    """Dict that empties itself when an insertion would exceed its budget.
+    An entry that alone costs more than the budget is not stored."""
 
     def __init__(self, budget: int):
         super().__init__()
@@ -103,6 +105,8 @@ class _BudgetCache(dict):
         self.used = 0
 
     def put(self, key, value, cost: int) -> None:
+        if cost > self.budget:
+            return
         if self.used + cost > self.budget:
             self.clear()
             self.used = 0

@@ -12,18 +12,34 @@ engine applies four effects to the active-prefix state U:
   the current segment.
 
 Each effect is a mask that does not depend on U, so every distinct
-alternative s gets one cached record per engine: FULL and START when s
-is first seen, END the first time s meets U != 0.  START and END take
-the longest suffix of s[-m:] that is a prefix of P (resp. the longest
-prefix of s[:m-1] that is a suffix of P) from C string search, which
-steps over periodic stretches and falls back to a KMP loop when failed
-candidates pile up; the shorter lengths come from P's border chain, one
-periodic run of it at a time.  EXTEND for |s| < m tests each active
-length k with ``P.startswith(s, k)`` the first time s meets U != 0;
-from the second meeting on it uses the cached occurrence mask occ(s),
-as ((U << 1) & occ(s)) << (|s| - 1).  With an explicit
-``naive_cutoff``, members longer than the cutoff go to the solver's
-classed route instead.
+alternative s gets one cached record per engine, by one of two routes.
+
+An alternative with n = |s| < m and n <= B = OVERLAP_MASK_MAX gets one
+overlap mask M(s): bit k + n - 1 is set iff s, placed at offset k of P
+(1 - n <= k <= m - 1), agrees with P wherever the two overlap.  With
+E[c] P's Shift-And mask for letter c (bit B + j set iff P[j] == c),
+padded with B one-bits on each side, M(s) is the AND over i of
+E[s[i]] >> (B - n + 1 + i), cut to m + n - 1 bits: SOPanG's letter step
+(Cisłak, Grabowski & Holub, 2018), run once per distinct alternative
+instead of once per letter of the text.  E[c] is made from one C
+translate of P the first time c occurs in such an alternative.  Then
+x = M & ((U << n) | (2^n - 1)) holds START below bit n, EXTEND on bits
+n..m-1 and END from bit m-1 up: U' gets x's low m bits, and the segment
+reports iff x >> (m - 1) != 0.  Past about B = 32 letters the mask costs
+more to make than the records below (a measured sweep fixed B).
+
+A longer alternative gets FULL and START when s is first seen, END the
+first time s meets U != 0.  START and END take the longest suffix of
+s[-m:] that is a prefix of P (resp. the longest prefix of s[:m-1] that
+is a suffix of P) from C string search, which steps over periodic
+stretches and falls back to a KMP loop when failed candidates pile up;
+the shorter lengths come from P's border chain, one periodic run of it
+at a time.  EXTEND for |s| < m tests each active length k with
+``P.startswith(s, k)`` the first time s meets U != 0; from the second
+meeting on it uses the cached occurrence mask occ(s), as
+((U << 1) & occ(s)) << (|s| - 1).  With an explicit ``naive_cutoff``,
+members longer than the cutoff go to the solver's classed route
+instead, on either side of OVERLAP_MASK_MAX.
 """
 
 from __future__ import annotations
@@ -36,6 +52,10 @@ from .eds_core import BitVector, EDString, Pattern, Segment
 from .stringology import border_array
 
 __all__ = ["MatchReport", "MatchState", "EDSMEngine", "search"]
+
+# Longest alternative that takes the overlap-mask route; the padding of
+# every letter mask is this wide.
+OVERLAP_MASK_MAX = 32
 
 
 def _kmp_state(t: str, pat: str, pf: list[int]) -> int:
@@ -133,10 +153,37 @@ def _spaced_bits(d: int, count: int) -> int:
     return ((1 << (d * count)) - 1) // ((1 << d) - 1) if count > 1 else 1
 
 
+class _LetterMasks:
+    """P's Shift-And masks for the letters seen so far: bit
+    OVERLAP_MASK_MAX + j of masks[c] is set iff P[j] == c, and the
+    OVERLAP_MASK_MAX bits on either side of P are set for every letter,
+    one absent from P too."""
+
+    def __init__(self, rev: str):
+        self.masks: dict[str, int] = {}
+        self.rev = rev
+        # One C translate of P reversed spells a letter's mask in binary.
+        self.digits = dict.fromkeys(map(ord, set(rev)), "0")
+        ones = (1 << OVERLAP_MASK_MAX) - 1
+        self.pad = ones | ones << (OVERLAP_MASK_MAX + len(rev))
+
+    def add(self, s: str) -> None:
+        """Make the masks of the letters of s that have none yet."""
+        digits = self.digits
+        for c in set(s).difference(self.masks):
+            mask = self.pad
+            code = ord(c)
+            if code in digits:
+                digits[code] = "1"
+                mask |= int(self.rev.translate(digits), 2) << OVERLAP_MASK_MAX
+                digits[code] = "0"
+            self.masks[c] = mask
+
+
 class _Record:
-    """Cached effects of one alternative s: FULL, the START mask, the END
-    mask (None until s first meets U != 0) and occ(s) (None until its
-    second meeting)."""
+    """Cached effects of one alternative s that takes no overlap mask:
+    FULL, the START mask, the END mask (None until s first meets U != 0)
+    and occ(s) (None until its second meeting)."""
 
     __slots__ = ("full", "start", "end", "occ")
 
@@ -177,12 +224,36 @@ class EDSMEngine:
         self.pf = border_array(letters)
         self.pf_rev = border_array(self.rev)
         self.solver = APSolver(self.pattern, naive_cutoff)
-        # An entry costs its key's letters, three m-bit masks and overhead.
+        # Alternatives up to this length take the overlap-mask route.
+        self._short = min(OVERLAP_MASK_MAX, self.solver.cutoff, self.m - 1)
+        self._letters: _LetterMasks | None = None
+        # An entry costs its key's letters, three m-bit masks (an overlap
+        # mask has fewer than 2m bits) and overhead.
         self._records = _BudgetCache(OCC_CACHE_BYTES)
         self._entry_cost = 3 * (self.m // 8) + _ENTRY_OVERHEAD
 
     def new_state(self) -> MatchState:
         return MatchState(BitVector(self.m))
+
+    def _overlap(self, s: str) -> int:
+        """M(s) for |s| <= self._short: bit k + |s| - 1 is set iff s agrees
+        with P wherever they overlap when s is placed at offset k."""
+        letters = self._letters
+        if letters is None:
+            letters = self._letters = _LetterMasks(self.rev)
+        masks = letters.masks
+        # x ends as the AND over i of masks[s[i]] >> i.
+        x = -1
+        try:
+            for c in reversed(s):
+                x = masks[c] & (x >> 1)
+        except KeyError:
+            letters.add(s)
+            return self._overlap(s)
+        n = len(s)
+        x = (x >> (OVERLAP_MASK_MAX - n + 1)) & ((1 << (self.m + n - 1)) - 1)
+        self._records.put(s, x, n + self._entry_cost)
+        return x
 
     def _record(self, s: str) -> _Record:
         m, p, pf = self.m, self.p, self.pf
@@ -207,9 +278,10 @@ class EDSMEngine:
         m, p = self.m, self.p
         records = self._records
         cutoff = self.solver.cutoff
+        short = self._short
         u = state.u.mask
-        shifted = u << 1
         u_next = 0
+        over = 0  # OR of the short alternatives' overlap steps
         report = False
         letters = 0
         classed: tuple[str, ...] = ()
@@ -219,6 +291,12 @@ class EDSMEngine:
                 u_next |= u
                 continue
             letters += n
+            if n <= short:
+                mask = records.get(s)
+                if mask is None:
+                    mask = self._overlap(s)
+                over |= mask & ((u << n) | ((1 << n) - 1))
+                continue
             rec = records.get(s)
             if rec is None:
                 rec = self._record(s)
@@ -250,9 +328,14 @@ class EDSMEngine:
                 occ = rec.occ
                 if occ is None:
                     occ = rec.occ = occ_mask(p, s)
-                hit = shifted & occ
+                hit = (u << 1) & occ
                 if hit:
                     u_next |= hit << (n - 1)
+        if over:
+            # START below bit n, EXTEND up to bit m - 1, END from there up.
+            u_next |= over & ((1 << m) - 1)
+            if over >> (m - 1):
+                report = True
         if classed:
             u_next |= self.solver.solve(BitVector(m, u), classed).mask
         state.u = BitVector(m, u_next)

@@ -167,6 +167,18 @@ class TestRouting:
             assert solver._occ_cache.used <= OCC_CACHE_BYTES
         assert len(solver._occ_cache) < len(members)
 
+    def test_occurrence_over_the_budget_is_not_kept(self):
+        # m = 1.25 * 2^23, so one member of 2^23 letters costs more than
+        # the budget; it extends prefix m - 2^23 to P, "ab" extends none.
+        m = OCC_CACHE_BYTES + OCC_CACHE_BYTES // 4
+        p = "a" * (m - 1) + "b"
+        s = "a" * (OCC_CACHE_BYTES - 1) + "b"
+        solver = APSolver(p)
+        u = BitVector(m, 1 << (m - len(s) - 1))
+        assert solver.solve(u, [s, "ab"]) == BitVector(m, 1 << (m - 1))
+        assert list(solver._occ_cache) == ["ab"]
+        assert solver._occ_cache.used <= OCC_CACHE_BYTES
+
     def test_anchor_cache_stays_within_budget(self, monkeypatch):
         # The real budget takes thousands of anchor builds to reach, so a
         # small one stands in for it; the solver reads it at construction.

@@ -6,9 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from edsm import ap_engine, edsm_engine
-from edsm.ap_engine import OCC_CACHE_BYTES
+from edsm.ap_engine import OCC_CACHE_BYTES, occ_mask
 from edsm.eds_core import BitVector, EDString, Pattern, Segment, parse_eds
-from edsm.edsm_engine import EDSMEngine, MatchReport, search
+from edsm.edsm_engine import OVERLAP_MASK_MAX, EDSMEngine, MatchReport, search
 from edsm.oracles import brute_active_states, brute_edsm
 from edsm.stringology import border_array
 
@@ -277,6 +277,9 @@ def _scan_text(kind: str, n: int, p: str, rng: random.Random) -> str:
     if kind == "rotation":
         shift = rng.randrange(len(p))
         return ((p * 3)[shift:] * 2)[:n]
+    if kind == "inside":
+        k = rng.randrange(len(p) - n + 1)
+        return p[k : k + n]
     return "".join(rng.choice("ab\ue000") for _ in range(n))
 
 
@@ -375,12 +378,15 @@ def _states(engine: EDSMEngine, segs) -> tuple[list[set[int]], tuple[int, ...]]:
 class TestAlternativeRecords:
     @pytest.mark.parametrize("cutoff", [None, 23])
     def test_states_when_an_alternative_meets_u_once_twice_thrice(self, cutoff, monkeypatch):
-        # s = P[k:k+L] is the only alternative that repeats.  Its first
-        # meeting with U != 0 extends per active bit, later ones through
-        # occ(s), computed once; with naive_cutoff=23 an s longer than 23
-        # takes the classed route and no mask at all.
+        # s = P[k:k+L] is the only alternative that repeats.  Up to
+        # OVERLAP_MASK_MAX letters it takes its overlap mask and no
+        # occ(s); a longer s extends per active bit on its first meeting
+        # with U != 0, later through occ(s), computed once; with
+        # naive_cutoff=23 an s longer than 23 takes the classed route and
+        # no mask at all.
         calls = _count_occ_masks(monkeypatch)
         rng = random.Random(26)
+        routes = set()
         for trial in range(24):
             m = rng.randint(30, 60)
             p = "".join(rng.choice("ab") for _ in range(m))
@@ -402,7 +408,15 @@ class TestAlternativeRecords:
             assert got == brute_active_states(p, segs)
             assert reported == tuple(brute_edsm(p, t, window_cap=t.n))
             assert {3, 6, 9} <= set(reported)
-            assert calls.count(s) == (1 if length <= engine.solver.cutoff else 0)
+            rec = engine._records[s]
+            route = ("overlap" if isinstance(rec, int) else
+                     "classed" if rec.occ is None else "occ")
+            routes.add(route)
+            assert route == ("classed" if length > engine.solver.cutoff else
+                             "occ" if length > OVERLAP_MASK_MAX else "overlap")
+            assert calls.count(s) == (1 if route == "occ" else 0)
+        # B < L <= cutoff is empty at naive_cutoff=23.
+        assert routes == ({"overlap", "occ"} if cutoff is None else {"overlap", "classed"})
 
     def test_long_alternatives_met_once_search_no_masks(self, monkeypatch):
         calls = _count_occ_masks(monkeypatch)
@@ -434,23 +448,143 @@ class TestAlternativeRecords:
         assert calls == [p[40:120]]
 
     def test_record_cache_stays_within_budget(self):
-        # 2^16 distinct alternatives of 16 letters cost more than the budget.
+        # 2^16 distinct alternatives of 16 letters, overlap masks all.
         rng = random.Random(27)
         m = 24
-        p = "".join(rng.choice("ab") for _ in range(m))
         members = ["".join(bits) for bits in itertools.product("ab", repeat=16)]
-        rng.shuffle(members)
-        assert len(members) * (16 + 3 * (m // 8) + ap_engine._ENTRY_OVERHEAD) > OCC_CACHE_BYTES
-        k = len(members) // 4
-        segs = [Segment(frozenset(members[i : i + k])) for i in range(0, len(members), k)]
+        engine = _fill_records(rng, m, members)
+        assert all(isinstance(rec, int) for rec in engine._records.values())
+
+    def test_record_cache_of_long_alternatives_stays_within_budget(self):
+        # The same 2^16 tails behind a 24-letter head: 40 letters, past
+        # OVERLAP_MASK_MAX, so every record is a START/END/occ record.
+        rng = random.Random(30)
+        m = 48
+        head = "".join(rng.choice("ab") for _ in range(24))
+        members = [head + "".join(bits) for bits in itertools.product("ab", repeat=16)]
+        engine = _fill_records(rng, m, members)
+        assert all(isinstance(rec, edsm_engine._Record) for rec in engine._records.values())
+
+
+def _fill_records(rng: random.Random, m: int, members: list[str]) -> EDSMEngine:
+    """Search four segments of members that cost more than the budget,
+    checking the budget after every segment and the answers at the end."""
+    p = "".join(rng.choice("ab") for _ in range(m))
+    rng.shuffle(members)
+    size = len(members[0])
+    assert len(members) * (size + 3 * (m // 8) + ap_engine._ENTRY_OVERHEAD) > OCC_CACHE_BYTES
+    k = len(members) // 4
+    segs = [Segment(frozenset(members[i : i + k])) for i in range(0, len(members), k)]
+    t = EDString(tuple(segs))
+    engine = EDSMEngine(p)
+    state = engine.new_state()
+    got = []
+    for j, seg in enumerate(segs, 1):
+        state = engine.process_segment(state, seg, j)
+        got.append(set(state.u.ones()))
+        assert engine._records.used <= OCC_CACHE_BYTES
+    assert len(engine._records) < len(members)
+    assert got == brute_active_states(p, segs)
+    assert tuple(sorted(state.reported)) == tuple(brute_edsm(p, t, window_cap=t.n))
+    return engine
+
+
+class TestOverlapMasks:
+    # Texts hold c, a letter no pattern holds, in a8c and periodic.
+    @given(st.sampled_from(["a", "ab", "a..ab", "random"]),
+           st.sampled_from([2, 8, OVERLAP_MASK_MAX, OVERLAP_MASK_MAX + 1, 64]),
+           st.sampled_from(SCAN_TEXTS + ["inside"]), st.integers(0, 2**32))
+    @settings(max_examples=400, deadline=None)
+    def test_mask_is_start_occ_end(self, pkind, m, tkind, seed):
+        rng = random.Random(seed)
+        p = _scan_pattern(pkind, m, rng)
+        engine = EDSMEngine(p)
+        for n in sorted({1, OVERLAP_MASK_MAX - 1, OVERLAP_MASK_MAX, m - 1}):
+            if not 1 <= n <= engine._short:
+                continue
+            s = _scan_text(tkind, n, p, rng)
+            rec = engine._record(s)
+            want = rec.start | occ_mask(p, s) << (n - 1) | engine._end(rec, s) << n
+            assert engine._overlap(s) == want, (p, s)
+
+    @pytest.mark.parametrize("cutoff", [None, 23])
+    def test_states_when_routes_and_epsilon_share_a_segment(self, cutoff):
+        # Every segment holds a piece of P, an alternative of each route
+        # (overlap mask, records or classed, |s| >= m) and often epsilon.
+        rng = random.Random(31)
+        for _ in range(20):
+            m = rng.randint(OVERLAP_MASK_MAX + 8, 90)
+            p = "".join(rng.choice("ab") for _ in range(m))
+            cuts = sorted(rng.sample(range(1, m), rng.randint(2, 5)))
+            segs = []
+            for a, b in zip([0, *cuts], [*cuts, m]):
+                alts = {p[a:b], "".join(rng.choice("ab") for _ in range(m + rng.randint(0, 9)))}
+                for length in (rng.randint(1, OVERLAP_MASK_MAX),
+                               rng.randint(OVERLAP_MASK_MAX + 1, m - 1)):
+                    k = rng.randrange(m - length + 1)
+                    alts.add(p[k : k + length])
+                if rng.random() < 0.6:
+                    alts.add("")
+                segs.append(Segment(frozenset(alts)))
+            t = EDString(tuple(segs))
+            engine = EDSMEngine(p, naive_cutoff=cutoff)
+            got, reported = _states(engine, segs)
+            assert got == brute_active_states(p, segs)
+            assert reported == tuple(brute_edsm(p, t, window_cap=t.n))
+            kinds = {type(rec) for rec in engine._records.values()}
+            assert kinds == {int, edsm_engine._Record}
+
+    def test_long_alternatives_build_no_letter_mask(self):
+        rng = random.Random(32)
+        m = 300
+        p = "".join(rng.choice("ACGT") for _ in range(m))
+        segs = [Segment(frozenset({p[:100], p[:40] + "A"})),
+                Segment(frozenset({p[100:] + "".join(rng.choice("ACGT") for _ in range(50)),
+                                   "".join(rng.choice("ACGT") for _ in range(OVERLAP_MASK_MAX + 1)),
+                                   ""}))]
+        engine = EDSMEngine(p)
+        assert engine.search(segs).positions == (2,)
+        assert engine._letters is None
+
+    def test_short_alternative_met_thrice_needs_no_string_search(self, monkeypatch):
+        calls = _count_occ_masks(monkeypatch)
+        scans = []
+        scan = edsm_engine._longest_suffix_prefix
+
+        def counting(t, pat, pf):
+            scans.append(t)
+            return scan(t, pat, pf)
+
+        monkeypatch.setattr(edsm_engine, "_longest_suffix_prefix", counting)
+        p = "abaabbabaaabab"
+        segs = [Segment(frozenset({"aba", "b"})), Segment(frozenset({"abbab", "ba", ""})),
+                Segment(frozenset({"aaabab", "a"}))] * 3
         t = EDString(tuple(segs))
         engine = EDSMEngine(p)
-        state = engine.new_state()
-        got = []
-        for j, seg in enumerate(segs, 1):
-            state = engine.process_segment(state, seg, j)
-            got.append(set(state.u.ones()))
-            assert engine._records.used <= OCC_CACHE_BYTES
-        assert len(engine._records) < len(members)
+        got, reported = _states(engine, segs)
         assert got == brute_active_states(p, segs)
-        assert tuple(sorted(state.reported)) == tuple(brute_edsm(p, t, window_cap=t.n))
+        assert reported == tuple(brute_edsm(p, t, window_cap=t.n)) == (3, 6, 9)
+        assert calls == [] and scans == []
+
+    def test_tagged_pattern_builds_masks_only_for_letters_met(self):
+        tags = [chr(0xE000 + i) for i in range(1000)]
+        p = "".join(tags) + "ab"
+        segs = [Segment(frozenset({"a", "ab", "bc", "cab", ""}))] * 4
+        engine = EDSMEngine(p)
+        assert engine.search(segs).positions == ()
+        assert sorted(engine._letters.masks) == ["a", "b", "c"]
+
+
+class TestBudgetCache:
+    def test_an_entry_over_the_budget_is_not_kept(self):
+        # One alternative of more than 2^23 letters completes P[:10] and
+        # holds P; alone it costs more than the whole budget.
+        rng = random.Random(33)
+        p = "".join(rng.choice("ab") for _ in range(64))
+        s = p[10:] + "b" * OCC_CACHE_BYTES + p
+        engine = EDSMEngine(p)
+        segs = [Segment(frozenset({p[:10], "ab"})), Segment(frozenset({s}))]
+        assert engine.search(segs).positions == (2,)
+        assert s not in engine._records
+        assert engine._records.used <= OCC_CACHE_BYTES
+        assert {p[:10], "ab"} <= engine._records.keys()
