@@ -10,13 +10,21 @@ Generated hardness instances need alphabets larger than [A-Za-z0-9];
 those use tagged symbols written ``<kind:id>`` in files and carried in
 memory as single private-use-area characters, so every string algorithm
 stays alphabet-agnostic.
+
+The parser streams: it reads fixed-size chunks and yields each segment
+once a brace or the end of the input completes it, so its memory is the
+largest segment plus one chunk.  Clean text, only [A-Za-z0-9] letters
+between braces and commas, is split by C string methods after one
+alphanumeric check per chunk; anything else (whitespace, ``<kind:id>``
+escapes, private-use letters, faults) goes through the regex loop, which
+gives every fault its message and byte offset.
 """
 
 from __future__ import annotations
 
 import io
 import re
-from dataclasses import dataclass, field
+from dataclasses import FrozenInstanceError, dataclass, field
 from typing import Iterator
 
 __all__ = [
@@ -58,6 +66,7 @@ _CHUNK = 1 << 16
 _UNIT_RE = re.compile(r"\s*(?:\{([^{}]*)\}|([^{}\s][^{}]*)(?=\{))")
 _SPACE_RE = re.compile(r"\s*")
 _BRACE_RE = re.compile(r"[{}]")
+_CLEAN = bytes.maketrans(b"{},", b"000")  # braces and commas read as letters
 
 
 def encode_symbol(kind: int, ident: int) -> str:
@@ -85,15 +94,35 @@ class EDSParseError(ValueError):
         self.offset = offset
 
 
-@dataclass(frozen=True)
 class Segment:
-    """One set of alternative strings."""
+    """One set of alternative strings; immutable, compared and hashed by value."""
 
-    alternatives: frozenset[str]
+    __slots__ = ("alternatives",)
 
-    def __post_init__(self) -> None:
-        if not self.alternatives:
+    def __init__(self, alternatives: frozenset[str]):
+        if not alternatives:
             raise ValueError("segment must have at least one alternative")
+        _set_alternatives(self, alternatives)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):  # pickle and copy would otherwise set the slot
+        return self.__class__, (self.alternatives,)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return self.alternatives == other.alternatives
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.alternatives,))
+
+    def __repr__(self) -> str:
+        return f"Segment(alternatives={self.alternatives!r})"
 
     @property
     def contains_epsilon(self) -> bool:
@@ -102,6 +131,9 @@ class Segment:
     @property
     def size(self) -> int:
         return sum(len(a) for a in self.alternatives)
+
+
+_set_alternatives = Segment.alternatives.__set__  # the slot's own setter
 
 
 @dataclass(frozen=True)
@@ -229,12 +261,40 @@ def _letters(text: str, chars: re.Pattern, offset=lambda i: i, at: int = 0) -> s
     raise EDSParseError(message, offset(at + i))
 
 
+def _clean_units(head: str) -> list[Segment] | None:
+    """The segments of head, a run of complete units, when it is clean: ASCII
+    letters and digits, braces and commas, and no brace out of place.  None
+    otherwise, so that the regex loop parses head and reports its faults."""
+    # On ASCII bytes, unlike str, isalnum holds for exactly [A-Za-z0-9]+.
+    if not (head.isascii() and head.encode().translate(_CLEAN).isalnum()):
+        return None
+    lead, *parts = head.split("{")
+    if "}" in lead or "," in lead:
+        return None
+    segs = [Segment(frozenset((lead,)))] if lead else []
+    for part in parts:
+        body, brace, run = part.partition("}")
+        if not brace or "}" in run or "," in run:
+            return None
+        segs.append(Segment(frozenset(body.split(","))))
+        if run:
+            segs.append(Segment(frozenset((run,))))
+    return segs
+
+
 def iter_parse_eds(stream: io.TextIOBase | str) -> Iterator[Segment]:
     """Parse an EDS byte stream, yielding segments one at a time.
 
     The stream is read in chunks of ``_CHUNK`` characters.  A segment is
     yielded as soon as the next brace, or the end of the input, shows it
     is complete; so memory is bounded by the largest segment plus one chunk.
+
+    Each time a brace arrives, the buffer's units are complete up to its
+    last brace: before a ``{``, through a ``}`` (and at the end of the
+    input up to its trailing whitespace).  When that head is clean (see
+    ``_clean_units``) C string methods split it; otherwise the regex loop
+    parses the whole buffer, so every fault keeps its message and byte
+    offset.
     """
     if isinstance(stream, str):
         stream = io.StringIO(stream)
@@ -251,8 +311,19 @@ def iter_parse_eds(stream: io.TextIOBase | str) -> Iterator[Segment]:
         if chunk and "{" not in chunk and "}" not in chunk:
             continue
         buf = "".join(pieces)
+        head = buf[: max(buf.rfind("{"), buf.rfind("}") + 1)] if chunk else buf.rstrip()
+        segs = _clean_units(head) if head else None
         pos = 0
-        while m := _UNIT_RE.match(buf, pos):
+        if segs:
+            yield from segs
+            saw_any = True
+            pos = len(head)
+        # A unit needs a "{" ahead, and a "{" at pos a "}" after it; without
+        # them the regex would fail only after backtracking over the tail.
+        while (o := buf.find("{", pos)) >= 0 and (o > pos or buf.find("}", o) >= 0):
+            m = _UNIT_RE.match(buf, pos)
+            if m is None:
+                break
             body, run = m.groups()
             if body is not None:
                 yield Segment(frozenset(_letters(body, _BODY_RE, offset, m.start(1)).split(",")))
@@ -274,8 +345,8 @@ def iter_parse_eds(stream: io.TextIOBase | str) -> Iterator[Segment]:
             _letters(buf[s + 1 : stop], _BODY_RE, offset, s + 1)
             message = "unbalanced braces" if b is None else "nested braces"
             raise EDSParseError(message, offset(stop))
-        run = _letters(buf[s : stop + 1], _RUN_RE, offset, s)  # fails at a "}"
         if s < len(buf):
+            run = _letters(buf[s : stop + 1], _RUN_RE, offset, s)  # fails at a "}"
             yield Segment(frozenset((run,)))
         elif not saw_any:
             raise EDSParseError("empty input", offset(len(buf)))

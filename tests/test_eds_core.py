@@ -1,4 +1,7 @@
+import copy
 import io
+import pickle
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -47,6 +50,30 @@ class TestSegment:
     def test_empty_edstring_rejected(self):
         with pytest.raises(ValueError):
             EDString(())
+
+    def test_value_semantics_and_immutability(self):
+        seg = Segment(frozenset({"", "ab"}))
+        twin = Segment(frozenset({"ab", ""}))
+        assert seg == twin and hash(seg) == hash(twin)
+        assert seg != Segment(frozenset({"ab"}))
+        assert seg != frozenset({"", "ab"}) and seg != "ab"
+        assert repr(Segment(frozenset({"ab"}))) == "Segment(alternatives=frozenset({'ab'}))"
+        assert repr(seg) == f"Segment(alternatives={seg.alternatives!r})"
+        with pytest.raises(AttributeError):
+            seg.alternatives = frozenset({"c"})
+        with pytest.raises(AttributeError):
+            del seg.alternatives
+        with pytest.raises(AttributeError):
+            seg.other = 1
+        assert seg.alternatives == frozenset({"", "ab"})
+        for clone in (pickle.loads(pickle.dumps(seg)), copy.copy(seg), copy.deepcopy(seg)):
+            assert type(clone) is Segment and clone == seg and hash(clone) == hash(seg)
+        tail = Segment(frozenset({"c"}))
+        t, u = EDString((seg, tail)), EDString((twin, Segment(frozenset({"c"}))))
+        assert t == u and hash(t) == hash(u) and len({t, u}) == 1
+        assert t != EDString((tail, seg))
+        with pytest.raises(ValueError):
+            Segment(frozenset())
 
 
 class TestPattern:
@@ -244,3 +271,115 @@ class TestParsing:
     def test_example_text_shape(self):
         t = parse_eds("ATGTA{A,T}C{G,T}CG{TA,TATA,}{TATGC,TTTTA}")
         assert (t.n, t.N) == (7, 28)
+
+
+# Pieces of EDS text: clean ones the C fast path may take, and everything
+# that must send a head to the regex loop.
+_CLEAN_PIECES = ["ACGT", "a", "Z9", "{", "}", ",", "{}", "{,}", "{a,}", "{A,C}"]
+_DIRTY_PIECES = [" ", "\n", "\t", "\x0b", "\x1c", "\x1d", "\x1e", "\x1f",
+                 "<1:5>", "<5:1279>", "<6:1>", "<1:99999>", "<1:x>", "<2:", "\ue000",
+                 "\ue000<1:0>", "é", "€", ";", "{a{b}}", "{{", "}}"]
+_clean_run = st.text(alphabet="ACGTab01", min_size=1, max_size=8)
+_clean_piece = st.one_of(
+    st.sampled_from(_CLEAN_PIECES),
+    _clean_run,
+    st.lists(st.text(alphabet="ACGT", max_size=3), min_size=1, max_size=4).map(
+        lambda alts: "{" + ",".join(alts) + "}"),
+)
+_eds_text = st.tuples(
+    st.lists(_clean_piece, max_size=12),
+    st.lists(st.one_of(_clean_piece, st.sampled_from(_DIRTY_PIECES)), max_size=4),
+    st.lists(_clean_piece, max_size=12),
+    st.sampled_from(["", "\n", " \n"]),
+).map(lambda t: "".join(t[0]) + "".join(t[1]) + "".join(t[2]) + t[3])
+
+
+def _outcome(text):
+    """Segments yielded, then the error's message and offset, if any."""
+    segs = []
+    try:
+        for seg in iter_parse_eds(io.StringIO(text)):
+            segs.append(seg)
+    except EDSParseError as exc:
+        return segs, str(exc), exc.offset
+    return segs, None, None
+
+
+def _pangenome_units(rng, size):
+    """Long ACGT blocks between SNP/indel sites: their text and segments."""
+    parts, segs = [], []
+    while sum(map(len, parts)) < size:
+        block = "".join(rng.choices("ACGT", k=rng.randint(200, 2000)))
+        alts = {"".join(rng.choices("ACGT", k=rng.randint(1, 3)))
+                for _ in range(rng.randint(2, 4))}
+        if rng.random() < 0.2:
+            alts.add("")
+        parts += [block, "{" + ",".join(sorted(alts)) + "}"]
+        segs += [Segment(frozenset({block})), Segment(frozenset(alts))]
+    return parts, segs
+
+
+class _CountingMatch:
+    def __init__(self, pattern):
+        self.pattern, self.calls = pattern, 0
+
+    def match(self, *args):
+        self.calls += 1
+        return self.pattern.match(*args)
+
+
+class TestCleanHeads:
+    """Clean text is split by C string methods; the rest by the regex loop."""
+
+    @given(_eds_text, st.sampled_from([1, 2, 3, 5, 8, 64, 1 << 16]))
+    @settings(max_examples=400, deadline=None)
+    def test_fast_path_equals_regex_path(self, text, size):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(eds_core, "_CHUNK", size)
+            got = _outcome(text)
+            # Declining every head leaves all parsing to the regex loop.
+            mp.setattr(eds_core, "_clean_units", lambda head: None)
+            assert got == _outcome(text)
+
+    def _watch(self, monkeypatch):
+        letters, declined = [], []
+        units = _CountingMatch(eds_core._UNIT_RE)
+        real_letters, real_clean = eds_core._letters, eds_core._clean_units
+
+        def count_letters(text, *args):
+            letters.append(text)
+            return real_letters(text, *args)
+
+        def watch_clean(head):
+            segs = real_clean(head)
+            if segs is None:
+                declined.append(head)
+            return segs
+
+        monkeypatch.setattr(eds_core, "_letters", count_letters)
+        monkeypatch.setattr(eds_core, "_clean_units", watch_clean)
+        monkeypatch.setattr(eds_core, "_UNIT_RE", units)
+        return letters, declined, units
+
+    def test_clean_text_never_reaches_the_regex_loop(self):
+        parts, segs = _pangenome_units(random.Random(5), 200_000)
+        text = "".join(parts)
+        # Files end in a newline, some right after a bare run.
+        for doc, want in ((text, segs), (text + "\n", segs),
+                          (text + "ACGT\n", segs + [Segment(frozenset({"ACGT"}))])):
+            with pytest.MonkeyPatch.context() as mp:
+                letters, declined, units = self._watch(mp)
+                assert list(iter_parse_eds(io.StringIO(doc))) == want
+            assert letters == [] and declined == [] and units.calls == 0
+
+    def test_an_escape_sends_only_its_head_to_the_regex_loop(self, monkeypatch):
+        parts, segs = _pangenome_units(random.Random(6), 200_000)
+        k = 2 * (len(parts) // 4)  # a block mid-text, in the second of four buffers
+        parts[k] += "<1:5>"
+        segs[k] = Segment(frozenset({parts[k][:-5] + encode_symbol(1, 5)}))
+        letters, declined, units = self._watch(monkeypatch)
+        assert list(iter_parse_eds(io.StringIO("".join(parts)))) == segs
+        assert len(declined) == 1 and "<1:5>" in declined[0]
+        head_units = len(eds_core._clean_units(declined[0].replace("<1:5>", "A")))
+        assert len(letters) == head_units < len(segs) // 2
+        assert units.calls == head_units
