@@ -107,11 +107,18 @@ class _BudgetCache(dict):
     def put(self, key, value, cost: int) -> None:
         if cost > self.budget:
             return
-        if self.used + cost > self.budget:
+        self.charge(cost)
+        self[key] = value
+
+    def charge(self, cost: int) -> bool:
+        """Count cost against the budget, emptying the cache first if it
+        would overflow; True iff it did."""
+        emptied = self.used + cost > self.budget
+        if emptied:
             self.clear()
             self.used = 0
-        self[key] = value
         self.used += cost
+        return emptied
 
 
 def occ_mask(p: str, s: str) -> int:

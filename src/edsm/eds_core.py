@@ -14,10 +14,10 @@ stays alphabet-agnostic.
 The parser streams: it reads fixed-size chunks and yields each segment
 once a brace or the end of the input completes it, so its memory is the
 largest segment plus one chunk.  Clean text, only [A-Za-z0-9] letters
-between braces and commas, is split by C string methods after one
-alphanumeric check per chunk; anything else (whitespace, ``<kind:id>``
-escapes, private-use letters, faults) goes through the regex loop, which
-gives every fault its message and byte offset.
+between braces and commas, with whitespace anywhere, is split by C
+string methods after one alphanumeric check per chunk; anything else
+(``<kind:id>`` escapes, private-use letters, faults) goes through the
+regex loop, which gives every fault its message and byte offset.
 """
 
 from __future__ import annotations
@@ -263,11 +263,17 @@ def _letters(text: str, chars: re.Pattern, offset=lambda i: i, at: int = 0) -> s
 
 def _clean_units(head: str) -> list[Segment] | None:
     """The segments of head, a run of complete units, when it is clean: ASCII
-    letters and digits, braces and commas, and no brace out of place.  None
-    otherwise, so that the regex loop parses head and reports its faults."""
-    # On ASCII bytes, unlike str, isalnum holds for exactly [A-Za-z0-9]+.
-    if not (head.isascii() and head.encode().translate(_CLEAN).isalnum()):
+    letters and digits, braces and commas, and no brace out of place, once
+    its whitespace is dropped (which never changes such a head's segments).
+    None otherwise, so that the regex loop parses head and reports its
+    faults."""
+    if not head.isascii():
         return None
+    # On ASCII bytes, unlike str, isalnum holds for exactly [A-Za-z0-9]+.
+    if not head.encode().translate(_CLEAN).isalnum():
+        head = "".join(head.split())
+        if not head.encode().translate(_CLEAN).isalnum():
+            return None
     lead, *parts = head.split("{")
     if "}" in lead or "," in lead:
         return None

@@ -34,22 +34,29 @@ s[-m:] that is a prefix of P (resp. the longest prefix of s[:m-1] that
 is a suffix of P) from C string search, which steps over periodic
 stretches and falls back to a KMP loop when failed candidates pile up;
 the shorter lengths come from P's border chain, one periodic run of it
-at a time.  EXTEND for |s| < m tests each active length k with
-``P.startswith(s, k)`` the first time s meets U != 0; from the second
-meeting on it uses the cached occurrence mask occ(s), as
+at a time.  The chain is read from a border store (pf for P, pf_rev for
+P reversed) that finds an entry, the longest proper border of P[:i+1],
+by the same search on P[1:i+1] when it is first read: a search reads a
+few entries, so building an engine does no O(m) Python work, and a store
+whose reads scan more than BORDER_SCAN_BUDGET letters per letter of P
+fills itself by one KMP pass.  EXTEND for |s| < m tests each active
+length k with ``P.startswith(s, k)`` the first time s meets U != 0; from
+the second meeting on it uses the cached occurrence mask occ(s), as
 ((U << 1) & occ(s)) << (|s| - 1).  With an explicit ``naive_cutoff``,
 members longer than the cutoff go to the solver's classed route
 instead, on either side of OVERLAP_MASK_MAX.
+
+Records and letter masks share one byte budget, and the masks are
+dropped whenever the records are.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable
 
 from .ap_engine import _ENTRY_OVERHEAD, OCC_CACHE_BYTES, APSolver, _BudgetCache, occ_mask
 from .eds_core import BitVector, EDString, Pattern, Segment
-from .stringology import border_array
 
 __all__ = ["MatchReport", "MatchState", "EDSMEngine", "search"]
 
@@ -57,10 +64,18 @@ __all__ = ["MatchReport", "MatchState", "EDSMEngine", "search"]
 # every letter mask is this wide.
 OVERLAP_MASK_MAX = 32
 
+# Letters per letter of P, and nesting, that a border store's on-demand
+# reads may reach before one KMP pass fills it (see _BorderStore).
+BORDER_SCAN_BUDGET = 4
+BORDER_DEPTH_MAX = 16
 
-def _kmp_state(t: str, pat: str, pf: list[int]) -> int:
+
+def _kmp_state(t: str, pat: str, pf) -> int:
     """Length of the longest suffix of t that is a prefix of pat, for
-    |t| <= |pat|; pf is pat's border array."""
+    |t| <= |pat|; pf is pat's border store (or its border array), of
+    which the loop reads the first |t| entries in order."""
+    if isinstance(pf, _BorderStore):
+        pf.fill(len(t))
     q = 0
     for ch in t:
         while q and ch != pat[q]:
@@ -83,8 +98,10 @@ def _common_prefix(a: str, i: int, b: str, j: int) -> int:
     return lo
 
 
-def _longest_suffix_prefix(t: str, pat: str, pf: list[int]) -> int:
-    """Same answer as _kmp_state(t, pat, pf), found by C string search.
+def _longest_suffix_prefix(t: str, pat: str, pf) -> int:
+    """Same answer as _kmp_state(t, pat, pf), found by C string search;
+    pf is pat's border store (or its border array), of which it reads
+    only entries below |t| - 1.
 
     A suffix of at least 8 letters starts where t holds pat[:8], and the
     first start, left to right, whose suffix pat begins with gives the
@@ -130,9 +147,10 @@ def _longest_suffix_prefix(t: str, pat: str, pf: list[int]) -> int:
     return 0
 
 
-def _border_runs(i: int, pf: list[int]):
+def _border_runs(i: int, pf):
     """The border chain i, pf[i-1], ... > 0 of a prefix P[:i], as runs
-    (low, d, count) of the lengths low, low + d, ..., low + (count-1)d.
+    (low, d, count) of the lengths low, low + d, ..., low + (count-1)d;
+    pf is P's border store (or its border array), read once per run.
 
     If P[:i] has smallest period d, each length b = i - jd >= 2d has
     smallest period d as well (a smaller d' would make gcd(d, d') a
@@ -153,24 +171,99 @@ def _spaced_bits(d: int, count: int) -> int:
     return ((1 << (d * count)) - 1) // ((1 << d) - 1) if count > 1 else 1
 
 
+class _BorderStore(dict):
+    """P's border array, entry i the longest proper border of P[:i+1],
+    with each entry found when it is first read and then kept.
+
+    A missing entry i is the longest suffix of P[1:i+1] that is a prefix
+    of P: _longest_suffix_prefix finds it by C string search, and its
+    periodic jump reads only smaller entries of the store.  fill(n)
+    stores the first n entries by one KMP pass, for _kmp_state, which
+    reads them in order.  Once the reads have scanned more than
+    BORDER_SCAN_BUDGET * m letters in all, or nest deeper than
+    BORDER_DEPTH_MAX, fill(m) answers them, so a store costs at most one
+    KMP loop and O(m) letters of C search.
+    """
+
+    def __init__(self, p: str):
+        super().__init__({0: 0})
+        self.p = p
+        self.known = 1  # entries below this are all stored
+        self.budget = BORDER_SCAN_BUDGET * len(p)
+        self.depth = 0
+
+    def __missing__(self, i: int) -> int:
+        p = self.p
+        if not 0 < i < len(p):
+            raise IndexError(f"border index {i} outside [0, {len(p)})")
+        self.budget -= i
+        if self.budget < 0 or self.depth == BORDER_DEPTH_MAX:
+            self.fill(len(p))
+            return self[i]
+        self.depth += 1
+        try:
+            b = _longest_suffix_prefix(p[1 : i + 1], p, self)
+        finally:
+            self.depth -= 1
+        self[i] = b
+        return b
+
+    def fill(self, n: int) -> None:
+        """Store the first n entries, by the KMP loop from the first
+        entry not yet known."""
+        p, start = self.p, self.known
+        if n <= start:
+            return
+        k = self[start - 1]
+        for i in range(start, n):
+            while k and p[i] != p[k]:
+                k = self[k - 1]
+            if p[i] == p[k]:
+                k += 1
+            self[i] = k
+        self.known = n
+
+
+class _RecordCache(_BudgetCache):
+    """The engine's records by alternative, and P's letter masks, which
+    are charged to the same budget and emptied with the records."""
+
+    def __init__(self, budget: int):
+        super().__init__(budget)
+        self.masks: dict[str, int] = {}
+
+    def clear(self) -> None:
+        super().clear()
+        self.masks.clear()
+
+
 class _LetterMasks:
     """P's Shift-And masks for the letters seen so far: bit
     OVERLAP_MASK_MAX + j of masks[c] is set iff P[j] == c, and the
     OVERLAP_MASK_MAX bits on either side of P are set for every letter,
-    one absent from P too."""
+    one absent from P too.  The masks live in the record cache, which
+    counts each against its budget."""
 
-    def __init__(self, rev: str):
-        self.masks: dict[str, int] = {}
+    def __init__(self, rev: str, records: _RecordCache):
+        self.records = records
+        self.masks = records.masks
         self.rev = rev
         # One C translate of P reversed spells a letter's mask in binary.
         self.digits = dict.fromkeys(map(ord, set(rev)), "0")
         ones = (1 << OVERLAP_MASK_MAX) - 1
         self.pad = ones | ones << (OVERLAP_MASK_MAX + len(rev))
+        self.cost = (len(rev) + 2 * OVERLAP_MASK_MAX) // 8 + _ENTRY_OVERHEAD
 
     def add(self, s: str) -> None:
         """Make the masks of the letters of s that have none yet."""
+        letters = set(s)
+        new = letters.difference(self.masks)
+        if self.records.charge(len(new) * self.cost):
+            # The cache overflowed and took every mask with it.
+            self.records.used += (len(letters) - len(new)) * self.cost
+            new = letters
         digits = self.digits
-        for c in set(s).difference(self.masks):
+        for c in new:
             mask = self.pad
             code = ord(c)
             if code in digits:
@@ -194,11 +287,22 @@ class _Record:
         self.occ = None
 
 
-@dataclass
 class MatchState:
-    u: BitVector
-    reported: set[int] = field(default_factory=set)
-    letters: int = 0
+    """Search state after some segments: the active prefixes as an int
+    (bit i - 1 set iff P[:i] is active), the segments reported and the
+    letters read."""
+
+    __slots__ = ("m", "mask", "reported", "letters")
+
+    def __init__(self, u: BitVector, reported: set[int] | None = None, letters: int = 0):
+        self.m = u.len
+        self.mask = u.mask
+        self.reported = set() if reported is None else reported
+        self.letters = letters
+
+    @property
+    def u(self) -> BitVector:
+        return BitVector(self.m, self.mask)
 
 
 @dataclass(frozen=True)
@@ -221,15 +325,15 @@ class EDSMEngine:
         self.p = letters
         self.m = self.pattern.m
         self.rev = letters[::-1]
-        self.pf = border_array(letters)
-        self.pf_rev = border_array(self.rev)
+        self.pf = _BorderStore(letters)
+        self.pf_rev = _BorderStore(self.rev)
         self.solver = APSolver(self.pattern, naive_cutoff)
         # Alternatives up to this length take the overlap-mask route.
         self._short = min(OVERLAP_MASK_MAX, self.solver.cutoff, self.m - 1)
         self._letters: _LetterMasks | None = None
         # An entry costs its key's letters, three m-bit masks (an overlap
         # mask has fewer than 2m bits) and overhead.
-        self._records = _BudgetCache(OCC_CACHE_BYTES)
+        self._records = _RecordCache(OCC_CACHE_BYTES)
         self._entry_cost = 3 * (self.m // 8) + _ENTRY_OVERHEAD
 
     def new_state(self) -> MatchState:
@@ -240,7 +344,7 @@ class EDSMEngine:
         with P wherever they overlap when s is placed at offset k."""
         letters = self._letters
         if letters is None:
-            letters = self._letters = _LetterMasks(self.rev)
+            letters = self._letters = _LetterMasks(self.rev, self._records)
         masks = letters.masks
         # x ends as the AND over i of masks[s[i]] >> i.
         x = -1
@@ -279,7 +383,7 @@ class EDSMEngine:
         records = self._records
         cutoff = self.solver.cutoff
         short = self._short
-        u = state.u.mask
+        u = state.mask
         u_next = 0
         over = 0  # OR of the short alternatives' overlap steps
         report = False
@@ -338,7 +442,7 @@ class EDSMEngine:
                 report = True
         if classed:
             u_next |= self.solver.solve(BitVector(m, u), classed).mask
-        state.u = BitVector(m, u_next)
+        state.mask = u_next
         state.letters += letters
         if report:
             state.reported.add(j)

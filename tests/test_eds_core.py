@@ -273,8 +273,9 @@ class TestParsing:
         assert (t.n, t.N) == (7, 28)
 
 
-# Pieces of EDS text: clean ones the C fast path may take, and everything
-# that must send a head to the regex loop.
+# Pieces of EDS text: clean ones the C fast path may take, and the rest:
+# whitespace, which it drops, and everything that must send a head to the
+# regex loop.
 _CLEAN_PIECES = ["ACGT", "a", "Z9", "{", "}", ",", "{}", "{,}", "{a,}", "{A,C}"]
 _DIRTY_PIECES = [" ", "\n", "\t", "\x0b", "\x1c", "\x1d", "\x1e", "\x1f",
                  "<1:5>", "<5:1279>", "<6:1>", "<1:99999>", "<1:x>", "<2:", "\ue000",
@@ -371,6 +372,16 @@ class TestCleanHeads:
                 letters, declined, units = self._watch(mp)
                 assert list(iter_parse_eds(io.StringIO(doc))) == want
             assert letters == [] and declined == [] and units.calls == 0
+
+    @pytest.mark.parametrize("newline", ["\n", "\r\n"])
+    def test_wrapped_text_never_reaches_the_regex_loop(self, newline):
+        parts, segs = _pangenome_units(random.Random(7), 200_000)
+        text = "".join(parts)
+        wrapped = newline.join(text[i : i + 80] for i in range(0, len(text), 80)) + newline
+        with pytest.MonkeyPatch.context() as mp:
+            letters, declined, units = self._watch(mp)
+            assert list(iter_parse_eds(io.StringIO(wrapped))) == segs
+        assert letters == [] and declined == [] and units.calls == 0
 
     def test_an_escape_sends_only_its_head_to_the_regex_loop(self, monkeypatch):
         parts, segs = _pangenome_units(random.Random(6), 200_000)

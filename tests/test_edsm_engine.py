@@ -1,14 +1,16 @@
 import itertools
 import random
+import sys
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from edsm import ap_engine, edsm_engine
+from edsm import ap_engine, edsm_engine, stringology
 from edsm.ap_engine import OCC_CACHE_BYTES, occ_mask
 from edsm.eds_core import BitVector, EDString, Pattern, Segment, parse_eds
-from edsm.edsm_engine import OVERLAP_MASK_MAX, EDSMEngine, MatchReport, search
+from edsm.edsm_engine import (BORDER_SCAN_BUDGET, OVERLAP_MASK_MAX, EDSMEngine,
+                               MatchReport, search)
 from edsm.oracles import brute_active_states, brute_edsm
 from edsm.stringology import border_array
 
@@ -54,6 +56,14 @@ class TestEngineSemantics:
     def test_empty_text_rejected(self):
         with pytest.raises(ValueError):
             EDSMEngine("ab").search(iter(()))
+
+    def test_state_carries_an_int_and_shows_a_bit_vector(self):
+        engine = EDSMEngine("aba")
+        state = engine.new_state()
+        assert state.u == BitVector(3)
+        state = engine.process_segment(state, Segment(frozenset({"xab", "a"})), 1)
+        assert type(state.mask) is int
+        assert state.u == BitVector(3, 0b011)
 
     def test_online_processing_is_incremental(self):
         engine = EDSMEngine("aba")
@@ -300,6 +310,8 @@ class TestSuffixPrefixScan:
                 t = _scan_text(tkind, n, p, rng)
                 got = edsm_engine._longest_suffix_prefix(t, p, pf)
                 assert got == edsm_engine._kmp_state(t, p, pf), (p, t)
+                store = edsm_engine._BorderStore(p)
+                assert edsm_engine._longest_suffix_prefix(t, p, store) == got
         # The reversed scan, as END runs it.
         rev = p[::-1]
         t = _scan_text(tkind, m - 1, p, rng)[::-1]
@@ -350,6 +362,102 @@ class TestSuffixPrefixScan:
         t = ("a" * 8 + "c") * 14 + "aa"
         assert scan(t, p, pf) == 2
         assert len(calls) == 1
+
+
+def _fibonacci(m: int) -> str:
+    a, b = "b", "a"
+    while len(b) < m:
+        a, b = b, b + a
+    return b[:m]
+
+
+# Pattern families for the border store: a^m, (ab)^k, (aab)^k c,
+# a^k b a^k, Fibonacci words, random binary and random ACGT.
+def _border_pattern(kind: str, m: int, rng: random.Random) -> str:
+    if kind == "a":
+        return "a" * m
+    if kind == "ab":
+        return ("ab" * m)[:m]
+    if kind == "aab":
+        return ("aab" * m)[: m - 1] + "c"
+    if kind == "aba":
+        return "a" * (m // 2) + "b" + "a" * (m - m // 2 - 1)
+    if kind == "fib":
+        return _fibonacci(m)
+    return "".join(rng.choice("ab" if kind == "binary" else "ACGT") for _ in range(m))
+
+
+BORDER_PATTERNS = ["a", "ab", "aab", "aba", "fib", "binary", "acgt"]
+
+
+def _read_order(m: int, order: str, rng: random.Random) -> list[int]:
+    idx = list(range(m))
+    if order == "descending":
+        idx.reverse()
+    else:
+        rng.shuffle(idx)
+    return idx
+
+
+class TestBorderStore:
+    @given(st.sampled_from(BORDER_PATTERNS), st.integers(1, 400),
+           st.sampled_from(["random", "descending"]), st.integers(0, 2**32))
+    @settings(max_examples=300, deadline=None)
+    def test_reads_equal_border_array(self, kind, m, order, seed):
+        rng = random.Random(seed)
+        p = _border_pattern(kind, m, rng)
+        store = edsm_engine._BorderStore(p)
+        want = border_array(p)
+        for i in _read_order(m, order, rng):
+            assert store[i] == want[i], (p, i)
+
+    @pytest.mark.parametrize("order", ["random", "descending"])
+    @pytest.mark.parametrize("kind", BORDER_PATTERNS)
+    def test_long_patterns_at_the_default_recursion_limit(self, kind, order):
+        assert sys.getrecursionlimit() <= 1000
+        rng = random.Random(f"{kind}/{order}")
+        m = 20_000
+        p = _border_pattern(kind, m, rng)
+        store = edsm_engine._BorderStore(p)
+        want = border_array(p)
+        for i in _read_order(m, order, rng):
+            assert store[i] == want[i]
+
+    @pytest.mark.parametrize("kind", BORDER_PATTERNS)
+    def test_queries_scan_at_most_the_budget(self, kind, monkeypatch):
+        rng = random.Random(kind)
+        m = 3000
+        p = _border_pattern(kind, m, rng)
+        scanned = []
+        scan = edsm_engine._longest_suffix_prefix
+
+        def counting(t, pat, pf):
+            if pat is p:
+                scanned.append(len(t))
+            return scan(t, pat, pf)
+
+        monkeypatch.setattr(edsm_engine, "_longest_suffix_prefix", counting)
+        store = edsm_engine._BorderStore(p)
+        want = border_array(p)
+        for i in _read_order(m, "descending", rng):
+            assert store[i] == want[i]
+        assert sum(scanned) <= BORDER_SCAN_BUDGET * m
+        # The search answered few reads; KMP passes stored the rest.
+        assert len(scanned) < m // 10 and len(store) == m
+
+    def test_engine_builds_no_border_array(self, monkeypatch):
+        def refuse(s):
+            raise AssertionError("border_array called")
+
+        monkeypatch.setattr(stringology, "border_array", refuse)
+        monkeypatch.setattr(edsm_engine, "border_array", refuse, raising=False)
+        rng = random.Random(34)
+        p = "".join(rng.choice("ACGT") for _ in range(1 << 16))
+        engine = EDSMEngine(p)
+        assert len(engine.pf) == len(engine.pf_rev) == 1
+        segs = [Segment(frozenset({p[:100], "AC"})), Segment(frozenset({p[100:]}))]
+        assert engine.search(segs).positions == (2,)
+        assert len(engine.pf) + len(engine.pf_rev) < 100
 
 
 def _count_occ_masks(monkeypatch) -> list[str]:
@@ -573,6 +681,36 @@ class TestOverlapMasks:
         engine = EDSMEngine(p)
         assert engine.search(segs).positions == ()
         assert sorted(engine._letters.masks) == ["a", "b", "c"]
+
+
+    def test_letter_masks_are_charged_to_the_record_budget(self):
+        # 6400 distinct tagged letters, 32 to a short junk alternative,
+        # beside P cut into pieces of at most 32 letters: the masks of all
+        # letters met would cost far more than the (shrunk) budget.
+        rng = random.Random(35)
+        tags = "".join(chr(0xE000 + i) for i in range(6400))
+        m = 200
+        p = "".join(rng.choice(tags[:50]) for _ in range(m))
+        engine = EDSMEngine(p)
+        records = engine._records
+        records.budget = 1 << 14
+        segs = []
+        for k in range(0, len(tags), 32):
+            a = (k // 32) % 10 * 20
+            alts = {tags[k : k + 32], p[a : a + 20], "" if k % 3 else tags[k]}
+            segs.append(Segment(frozenset(alts)))
+        state = engine.new_state()
+        got = []
+        for j, seg in enumerate(segs, 1):
+            state = engine.process_segment(state, seg, j)
+            got.append(set(state.u.ones()))
+            masks = engine._letters.masks
+            assert len(masks) * engine._letters.cost <= records.used <= records.budget
+        assert 6400 * engine._letters.cost > records.budget
+        assert got == brute_active_states(p, segs)
+        t = EDString(tuple(segs))
+        assert tuple(sorted(state.reported)) == tuple(brute_edsm(p, t, window_cap=t.n))
+        assert state.reported
 
 
 class TestBudgetCache:
