@@ -7,12 +7,14 @@ P[1..j].
 By default every member shorter than P goes through one occurrence-mask
 kernel: occ(s) marks the start positions of s in P (``occ_mask``, a
 ``str.find`` loop), and V |= ((U << 1) & occ(s)) << (|s| - 1).  The
-masks are cached per solver within a fixed memory budget.  The search
-engine does not call this kernel for such members: it keeps its own
-per-alternative records in a cache of the same budget (see
-``edsm_engine``), one overlap mask for a member of at most 32 letters
-and the same ``occ_mask`` for a longer one, and calls ``solve`` only
-for the classed route.
+masks are cached per solver within OCC_CACHE_BYTES.  The search engine
+answers most members itself, from per-alternative records in a cache of
+the same budget (see ``edsm_engine``): an overlap mask for a member of
+at most 32 letters, and a ``startswith`` test per active prefix the
+first time a longer one meets U != 0.  It calls ``solve`` once per
+segment with the longer members that meet U != 0 again and those past
+an explicit cutoff, so an engine's records and occurrence masks take at
+most twice OCC_CACHE_BYTES.
 
 An explicit ``naive_cutoff`` (at least 23) selects the paper's classed
 pipeline instead for members longer than the cutoff: they are

@@ -7,13 +7,16 @@ Subcommands:
   together with a JSON ground-truth sidecar;
 * ``verify``   — re-solve a generated instance with both the fast engine and
   the brute-force oracle and compare against the sidecar;
-* ``bench``    — CSV timing sweep across instance sizes and algorithms:
-  ``ap-fast`` (the default engine), ``ap-paper`` (the paper's classed
-  Active Prefixes pipeline, ``naive_cutoff=23``) and ``naive-oracle``;
-  after each size every algorithm that ran must give the same answer.
+* ``bench``    — CSV timing sweep of random Active Prefixes instances
+  across sizes and algorithms: ``ap-fast`` (the default occurrence-mask
+  kernel), ``ap-paper`` (the paper's classed pipeline,
+  ``naive_cutoff=23``) and ``naive-oracle``; after each size every
+  algorithm must give the same answer.  ``perfbench/`` times the search
+  itself.
 
 Exit codes: 0 success (search: at least one match), 1 search found no
-match, 2 usage/parse/runtime error, 3 disagreement (verify, bench).
+match, 2 usage/parse/runtime error (an exhausted oracle budget too), 3
+disagreement (verify, bench).
 """
 
 from __future__ import annotations
@@ -32,7 +35,6 @@ from .eds_core import (
     BitVector,
     EDString,
     Pattern,
-    Segment,
     iter_parse_eds,
     parse_eds,
     parse_pattern_text,
@@ -92,23 +94,15 @@ def _random_matrix(rng: random.Random, n: int, density: float) -> BoolMatrix:
 
 
 def cmd_search(args: argparse.Namespace) -> int:
-    try:
-        pattern = _read_pattern(args.pattern)
-    except (OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    try:
-        with open(args.text, "r", encoding="utf-8") as fh:
-            if args.algo == "naive-oracle":
-                text = EDString(tuple(iter_parse_eds(fh)))
-                positions = tuple(brute_edsm(pattern, text, window_cap=text.n))
-                n, total = text.n, text.N
-            else:
-                report = EDSMEngine(pattern).search(iter_parse_eds(fh))
-                positions, n, total = report.positions, report.n, report.N
-    except (OSError, ValueError, BudgetExceededError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    pattern = _read_pattern(args.pattern)
+    with open(args.text, "r", encoding="utf-8") as fh:
+        if args.algo == "naive-oracle":
+            text = EDString(tuple(iter_parse_eds(fh)))
+            positions = tuple(brute_edsm(pattern, text))
+            n, total = text.n, text.N
+        else:
+            report = EDSMEngine(pattern).search(iter_parse_eds(fh))
+            positions, n, total = report.positions, report.n, report.N
     if args.json:
         print(
             json.dumps(
@@ -140,12 +134,7 @@ def _write_td(args: argparse.Namespace) -> int:
         i, j, k = (rng.randrange(n) + 1 for _ in range(3))
         ra[i - 1][j - 1] = rb[j - 1][k - 1] = rc[k - 1][i - 1] = 1
     a, b, c = (BoolMatrix.from_rows(r) for r in (ra, rb, rc))
-    try:
-        inst = TDInstance(a, b, c, s)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    pattern, text = td_to_edsm(inst)
+    pattern, text = td_to_edsm(TDInstance(a, b, c, s))
     _path(args.out, ".pattern.txt").write_text(
         serialize_string(pattern.letters) + "\n", encoding="utf-8"
     )
@@ -184,11 +173,7 @@ def _write_bmm(args: argparse.Namespace) -> int:
         rng = random.Random(args.seed)
         a = _random_matrix(rng, n, args.density)
         b = _random_matrix(rng, n, args.density)
-    try:
-        blocks = bmm_to_ap(a, b, l)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    blocks = bmm_to_ap(a, b, l)
     expected = naive_bool_multiply(a, b).to_lists()
     instance = {
         "kind": "bmm",
@@ -242,7 +227,7 @@ def _verify_td(out: str, sidecar: dict) -> int:
               file=sys.stderr)
         return 3
     fast = bool(EDSMEngine(pattern).search(text.segments).positions)
-    oracle = bool(brute_edsm(pattern, text, window_cap=text.n))
+    oracle = bool(brute_edsm(pattern, text))
     for name, got in (("fast engine", fast), ("oracle", oracle)):
         if got != want:
             print(
@@ -300,47 +285,14 @@ def cmd_verify(args: argparse.Namespace) -> int:
     except (OSError, ValueError, KeyError, TypeError) as exc:
         print(f"disagreement: corrupt instance or sidecar ({exc})", file=sys.stderr)
         return 3
-    except BudgetExceededError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-
-
-def _random_eds(rng: random.Random, target: int) -> tuple[str, EDString]:
-    """A random pattern/text pair of roughly the requested total size."""
-    pattern = "".join(rng.choice("ab") for _ in range(32))
-    segments = []
-    total = 0
-    while total < target:
-        alts = set()
-        for _ in range(rng.randint(1, 3)):
-            length = rng.randint(1, 24)
-            alts.add("".join(rng.choice("ab") for _ in range(length)))
-        if rng.random() < 0.2:
-            alts.add("")
-        seg = Segment(frozenset(alts))
-        segments.append(seg)
-        total += seg.size
-    return pattern, EDString(tuple(segments))
 
 
 # Bench algorithm -> naive_cutoff of the Active Prefixes solver it runs:
 # None is the default occurrence-mask kernel, NAIVE_CUTOFF_BASE sends
 # every string longer than 23 letters through the paper's classed
-# pipeline.  "naive-oracle" runs the quadratic oracles instead.
+# pipeline.  "naive-oracle" runs the quadratic oracle instead.
 _BENCH_CUTOFFS = {"ap-fast": None, "ap-paper": NAIVE_CUTOFF_BASE}
 _BENCH_ALGOS = (*_BENCH_CUTOFFS, "naive-oracle")
-
-
-def _edsm_bench_instance(rng: random.Random, size: int):
-    pattern, text = _random_eds(rng, size)
-
-    def run(algo: str) -> tuple[int, ...]:
-        if algo == "naive-oracle":
-            return tuple(brute_edsm(pattern, text, window_cap=text.n))
-        engine = EDSMEngine(pattern, naive_cutoff=_BENCH_CUTOFFS[algo])
-        return engine.search(text.segments).positions
-
-    return [len(pattern), text.n, text.N], run
 
 
 def _random_ap(rng: random.Random, m: int, target: int) -> APInstance:
@@ -363,41 +315,25 @@ def _random_ap(rng: random.Random, m: int, target: int) -> APInstance:
     return APInstance(Pattern(letters), u, tuple(sorted(strings)))
 
 
-def _ap_bench_instance(rng: random.Random, m: int, size: int):
-    inst = _random_ap(rng, m, size)
-
-    def run(algo: str) -> BitVector:
-        if algo == "naive-oracle":
-            return brute_ap(inst.pattern, inst.u, inst.strings)
-        return solve_ap(inst, naive_cutoff=_BENCH_CUTOFFS[algo])
-
-    return [inst.pattern.m, 1, sum(map(len, inst.strings))], run
-
-
 def _bench(args: argparse.Namespace, writer) -> int:
     """One row per size and algorithm; 3 when algorithms disagree on a size."""
     for size in args.sizes:
-        rng = random.Random(args.seed * 1_000_003 + size)
-        if args.mode == "edsm":
-            row, run = _edsm_bench_instance(rng, size)
-        else:
-            row, run = _ap_bench_instance(rng, args.m, size)
+        inst = _random_ap(random.Random(args.seed * 1_000_003 + size), args.m, size)
+        row = [inst.pattern.m, 1, sum(map(len, inst.strings))]
         answers = {}
         for algo in args.algos:
             start = time.perf_counter()
-            try:
-                answers[algo] = run(algo)
-            except BudgetExceededError:
-                writer.writerow([*row, algo, "skipped"])
-                continue
+            if algo == "naive-oracle":
+                answers[algo] = brute_ap(inst.pattern, inst.u, inst.strings)
+            else:
+                answers[algo] = solve_ap(inst, naive_cutoff=_BENCH_CUTOFFS[algo])
             elapsed = time.perf_counter() - start
             writer.writerow([*row, algo, f"{elapsed:.6f}"])
         if len(set(answers.values())) > 1:
             first, *rest = answers
             odd = [a for a in rest if answers[a] != answers[first]]
             print(f"disagreement: {', '.join(odd)} and {first} give different "
-                  f"answers (mode {args.mode}, size {size}, seed {args.seed})",
-                  file=sys.stderr)
+                  f"answers (size {size}, seed {args.seed})", file=sys.stderr)
             return 3
     return 0
 
@@ -408,8 +344,8 @@ def cmd_bench(args: argparse.Namespace) -> int:
         print(f"error: unknown bench algorithm {', '.join(unknown)} "
               f"(choose from {', '.join(_BENCH_ALGOS)})", file=sys.stderr)
         return 2
-    if args.mode == "ap" and args.m < 2:
-        print("error: --m must be at least 2 in ap mode", file=sys.stderr)
+    if args.m < 2:
+        print("error: --m must be at least 2", file=sys.stderr)
         return 2
     out = open(args.out, "w", newline="") if args.out else sys.stdout
     try:
@@ -453,14 +389,13 @@ def _build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--instance", required=True, help="path prefix used by generate")
     p_verify.set_defaults(func=cmd_verify)
 
-    p_bench = sub.add_parser("bench", help="CSV timing sweep")
-    p_bench.add_argument("--mode", choices=["edsm", "ap"], default="edsm")
+    p_bench = sub.add_parser("bench", help="CSV timing sweep of Active Prefixes solvers")
     p_bench.add_argument("--sizes", type=lambda s: [int(x) for x in s.split(",")],
                          default=[1000, 2000, 4000], help="comma-separated sizes N")
     p_bench.add_argument("--algos", type=lambda s: s.split(","),
                          default=["ap-fast", "naive-oracle"],
                          help="comma-separated: ap-fast, ap-paper, naive-oracle")
-    p_bench.add_argument("--m", type=int, default=1024, help="pattern length (ap mode)")
+    p_bench.add_argument("--m", type=int, default=1024, help="pattern length")
     p_bench.add_argument("--seed", type=int, default=0)
     p_bench.add_argument("--out", default=None, help="CSV output file (default stdout)")
     p_bench.set_defaults(func=cmd_bench)
@@ -471,7 +406,7 @@ def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, BudgetExceededError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -40,14 +40,18 @@ by the same search on P[1:i+1] when it is first read: a search reads a
 few entries, so building an engine does no O(m) Python work, and a store
 whose reads scan more than BORDER_SCAN_BUDGET letters per letter of P
 fills itself by one KMP pass.  EXTEND for |s| < m tests each active
-length k with ``P.startswith(s, k)`` the first time s meets U != 0; from
-the second meeting on it uses the cached occurrence mask occ(s), as
-((U << 1) & occ(s)) << (|s| - 1).  With an explicit ``naive_cutoff``,
-members longer than the cutoff go to the solver's classed route
-instead, on either side of OVERLAP_MASK_MAX.
+length k with ``P.startswith(s, k)`` the first time s meets U != 0.
+From the second meeting on, s goes to the engine's APSolver, in one
+``solve`` call per segment, whose occurrence-mask kernel caches occ(s)
+and adds ((U << 1) & occ(s)) << (|s| - 1).  With an explicit
+``naive_cutoff``, members longer than the cutoff go to the same call
+from their first meeting on, and the solver sends them to its classed
+route, on either side of OVERLAP_MASK_MAX.
 
 Records and letter masks share one byte budget, and the masks are
-dropped whenever the records are.
+dropped whenever the records are.  The solver's occurrence masks have a
+budget of their own: records and occurrence masks together take at most
+the records budget plus the occurrence budget, each OCC_CACHE_BYTES.
 """
 
 from __future__ import annotations
@@ -55,7 +59,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable
 
-from .ap_engine import _ENTRY_OVERHEAD, OCC_CACHE_BYTES, APSolver, _BudgetCache, occ_mask
+from .ap_engine import _ENTRY_OVERHEAD, OCC_CACHE_BYTES, APSolver, _BudgetCache
 from .eds_core import BitVector, EDString, Pattern, Segment
 
 __all__ = ["MatchReport", "MatchState", "EDSMEngine", "search"]
@@ -99,9 +103,17 @@ def _common_prefix(a: str, i: int, b: str, j: int) -> int:
 
 
 def _longest_suffix_prefix(t: str, pat: str, pf) -> int:
-    """Same answer as _kmp_state(t, pat, pf), found by C string search;
-    pf is pat's border store (or its border array), of which it reads
-    only entries below |t| - 1.
+    """Same answer as _kmp_state(t, pat, pf), found by
+    _suffix_prefix_search or, when that leaves it to the KMP loop, by
+    _kmp_state."""
+    q = _suffix_prefix_search(t, pat, pf)
+    return _kmp_state(t, pat, pf) if q is None else q
+
+
+def _suffix_prefix_search(t: str, pat: str, pf) -> int | None:
+    """Same answer as _kmp_state(t, pat, pf), found by C string search,
+    or None where the KMP loop should answer; pf is pat's border store
+    (or its border array), of which it reads only entries below |t| - 1.
 
     A suffix of at least 8 letters starts where t holds pat[:8], and the
     first start, left to right, whose suffix pat begins with gives the
@@ -114,20 +126,20 @@ def _longest_suffix_prefix(t: str, pat: str, pf) -> int:
     resumes at k + e - d + 1, or earlier at the one start k + jd these
     rules leave open, and a periodic stretch costs one jump.  Suffixes
     under 8 letters start at a copy of pat[0] among the last 7 letters.
-    If the failed starts still span more than 4|t| letters, the KMP loop
-    answers; it also answers outright when t is shorter than pat[:8]: a
-    few letters cost less in the loop than in C calls.
+    If the failed starts still span more than 4|t| letters, the search
+    gives up; it also gives up outright when t is shorter than pat[:8]: a
+    few letters cost less in the KMP loop than in C calls.
     """
     n = len(t)
     head = pat[:8]
     if n < len(head):
-        return _kmp_state(t, pat, pf)
+        return None
     budget = 4 * n
     k = t.find(head)
     while k >= 0:
         budget -= n - k
         if budget < 0:
-            return _kmp_state(t, pat, pf)
+            return None
         if pat.startswith(t[k:]):
             return n - k
         q = _common_prefix(pat, 0, t, k)
@@ -176,13 +188,14 @@ class _BorderStore(dict):
     with each entry found when it is first read and then kept.
 
     A missing entry i is the longest suffix of P[1:i+1] that is a prefix
-    of P: _longest_suffix_prefix finds it by C string search, and its
+    of P: _suffix_prefix_search finds it by C string search, and its
     periodic jump reads only smaller entries of the store.  fill(n)
-    stores the first n entries by one KMP pass, for _kmp_state, which
-    reads them in order.  Once the reads have scanned more than
-    BORDER_SCAN_BUDGET * m letters in all, or nest deeper than
-    BORDER_DEPTH_MAX, fill(m) answers them, so a store costs at most one
-    KMP loop and O(m) letters of C search.
+    stores the first n entries by one KMP pass, resumed where the stored
+    prefix ends; it answers entry i, by fill(i + 1), where the search
+    gives up, and serves _kmp_state, which reads entries in order.  Once
+    the reads have scanned more than BORDER_SCAN_BUDGET * m letters in
+    all, or nest deeper than BORDER_DEPTH_MAX, fill(m) answers them, so a
+    store costs at most one KMP loop and O(m) letters of C search.
     """
 
     def __init__(self, p: str):
@@ -202,9 +215,12 @@ class _BorderStore(dict):
             return self[i]
         self.depth += 1
         try:
-            b = _longest_suffix_prefix(p[1 : i + 1], p, self)
+            b = _suffix_prefix_search(p[1 : i + 1], p, self)
         finally:
             self.depth -= 1
+        if b is None:
+            self.fill(i + 1)
+            return self[i]
         self[i] = b
         return b
 
@@ -275,16 +291,15 @@ class _LetterMasks:
 
 class _Record:
     """Cached effects of one alternative s that takes no overlap mask:
-    FULL, the START mask, the END mask (None until s first meets U != 0)
-    and occ(s) (None until its second meeting)."""
+    FULL, the START mask and the END mask (None until s first meets
+    U != 0)."""
 
-    __slots__ = ("full", "start", "end", "occ")
+    __slots__ = ("full", "start", "end")
 
     def __init__(self, full: bool, start: int):
         self.full = full
         self.start = start
         self.end = None
-        self.occ = None
 
 
 class MatchState:
@@ -331,10 +346,10 @@ class EDSMEngine:
         # Alternatives up to this length take the overlap-mask route.
         self._short = min(OVERLAP_MASK_MAX, self.solver.cutoff, self.m - 1)
         self._letters: _LetterMasks | None = None
-        # An entry costs its key's letters, three m-bit masks (an overlap
+        # An entry costs its key's letters, two m-bit masks (an overlap
         # mask has fewer than 2m bits) and overhead.
         self._records = _RecordCache(OCC_CACHE_BYTES)
-        self._entry_cost = 3 * (self.m // 8) + _ENTRY_OVERHEAD
+        self._entry_cost = 2 * (self.m // 8) + _ENTRY_OVERHEAD
 
     def new_state(self) -> MatchState:
         return MatchState(BitVector(self.m))
@@ -388,7 +403,7 @@ class EDSMEngine:
         over = 0  # OR of the short alternatives' overlap steps
         report = False
         letters = 0
-        classed: tuple[str, ...] = ()
+        batch: tuple[str, ...] = ()  # alternatives for self.solver
         for s in seg.alternatives:
             n = len(s)
             if not n:
@@ -417,9 +432,9 @@ class EDSMEngine:
                 report = True
             if n >= m:
                 continue
-            if n > cutoff:
-                classed += (s,)
-            elif first:
+            if n > cutoff or not first:
+                batch += (s,)
+            else:
                 # Active lengths k <= m - n, each extended to k + n if P
                 # holds s at offset k.
                 w = u & ((1 << (m - n)) - 1)
@@ -428,20 +443,13 @@ class EDSMEngine:
                     if p.startswith(s, low.bit_length()):
                         u_next |= low << n
                     w ^= low
-            else:
-                occ = rec.occ
-                if occ is None:
-                    occ = rec.occ = occ_mask(p, s)
-                hit = (u << 1) & occ
-                if hit:
-                    u_next |= hit << (n - 1)
         if over:
             # START below bit n, EXTEND up to bit m - 1, END from there up.
             u_next |= over & ((1 << m) - 1)
             if over >> (m - 1):
                 report = True
-        if classed:
-            u_next |= self.solver.solve(BitVector(m, u), classed).mask
+        if batch:
+            u_next |= self.solver.solve(BitVector(m, u), batch).mask
         state.mask = u_next
         state.letters += letters
         if report:

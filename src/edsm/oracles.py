@@ -73,12 +73,7 @@ def brute_active_states(p: Pattern | str, segments) -> list[set[int]]:
     return states
 
 
-def brute_edsm(
-    p: Pattern | str,
-    t: EDString,
-    window_cap: int | None = None,
-    budget: int | None = None,
-) -> list[int]:
+def brute_edsm(p: Pattern | str, t: EDString, budget: int | None = None) -> list[int]:
     """Enumerate windows and alternative tuples per the match definition.
 
     A match over segments i..j (i < j) splits P into parts: a possibly
@@ -88,7 +83,6 @@ def brute_edsm(
     """
     letters = p.letters if isinstance(p, Pattern) else p
     m = len(letters)
-    cap = window_cap if window_cap is not None else m + 2
     limit = budget if budget is not None else oracle_budget()
     steps = 0
 
@@ -96,9 +90,7 @@ def brute_edsm(
         nonlocal steps
         steps += k
         if steps > limit:
-            raise BudgetExceededError(
-                f"oracle budget {limit} exceeded (cap {cap} segments per window)"
-            )
+            raise BudgetExceededError(f"oracle budget {limit} exceeded")
 
     segs = t.segments
     reported: set[int] = set()
@@ -112,7 +104,7 @@ def brute_edsm(
                 break
 
     for i in range(1, t.n + 1):
-        for j in range(i + 1, min(t.n, i + cap - 1) + 1):
+        for j in range(i + 1, t.n + 1):
             starts: set[int] = set()
             for s in segs[i - 1].alternatives:
                 for q in range(0, min(len(s), m - 1) + 1):

@@ -198,10 +198,6 @@ class APReductionBlock:
     strings: tuple[str, ...]
     v: BitVector | None = field(default=None)
 
-    @property
-    def gadget_len(self) -> int:
-        return 2 * self.l + 1
-
 
 def bmm_to_ap(a: BoolMatrix, b: BoolMatrix, l: int) -> list[APReductionBlock]:
     """Decompose a Boolean matrix product into active-prefix instances."""

@@ -81,7 +81,7 @@ def test_criterion_04_search_oracle_equivalence():
         p = random_pattern(rng, max_m=12)
         t = random_edstring(rng, max_n=8, max_alts=4, max_len=6, eps_prob=0.2)
         got = search(p, t).positions
-        want = tuple(brute_edsm(p, t, window_cap=t.n))
+        want = tuple(brute_edsm(p, t))
         assert got == want, f"trial {trial}: {got} != {want}"
     elapsed = time.perf_counter() - start
     assert elapsed < 60.0, f"took {elapsed:.1f}s, limit 60s"

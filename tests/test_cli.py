@@ -61,6 +61,15 @@ class TestSearch:
                      "--algo", "naive-oracle"]) == 0
         assert capsys.readouterr().out == "2\n6\n7\n"
 
+    def test_oracle_budget_exits_2(self, example_files, capsys, monkeypatch):
+        _, eds = example_files
+        monkeypatch.setenv("EDSM_ORACLE_BUDGET", "5")
+        assert main(["search", "-p", "GTAT", "-t", str(eds),
+                     "--algo", "naive-oracle"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: oracle budget 5 exceeded")
+
 
 class TestGenerateVerify:
     def test_td_round_trip(self, tmp_path, capsys):
@@ -147,7 +156,7 @@ class TestGenerateVerify:
 class TestBench:
     def test_csv_rows_per_size_and_algo(self, tmp_path):
         out = tmp_path / "bench.csv"
-        assert main(["bench", "--mode", "edsm", "--sizes", "200,400",
+        assert main(["bench", "--sizes", "200,400", "--m", "64",
                      "--algos", "ap-fast,naive-oracle", "--seed", "1",
                      "--out", str(out)]) == 0
         lines = out.read_text().strip().splitlines()
@@ -155,15 +164,9 @@ class TestBench:
         assert len(lines) == 1 + 2 * 2
         for line in lines[1:]:
             m, n, size, algo, seconds = line.split(",")
+            assert (m, n) == ("64", "1")
             assert algo in ("ap-fast", "naive-oracle")
-            assert seconds == "skipped" or float(seconds) >= 0
-
-    def test_ap_mode(self, tmp_path):
-        out = tmp_path / "bench.csv"
-        assert main(["bench", "--mode", "ap", "--sizes", "400", "--m", "64",
-                     "--algos", "ap-fast", "--seed", "2", "--out", str(out)]) == 0
-        lines = out.read_text().strip().splitlines()
-        assert len(lines) == 2 and lines[1].startswith("64,1,")
+            assert float(seconds) >= 0
 
     def test_ap_instance_strings_are_shorter_than_m(self):
         # Strings of length m or more extend no prefix, so a row built from
@@ -172,10 +175,9 @@ class TestBench:
             inst = cli._random_ap(random.Random(m), m, 2000)
             assert inst.strings and all(len(s) < m for s in inst.strings)
 
-    @pytest.mark.parametrize("mode, size", [("edsm", "600"), ("ap", "20000")])
-    def test_paper_route_row_agrees(self, tmp_path, mode, size):
+    def test_paper_route_row_agrees(self, tmp_path):
         out = tmp_path / "bench.csv"
-        assert main(["bench", "--mode", mode, "--sizes", size,
+        assert main(["bench", "--sizes", "20000",
                      "--algos", "ap-fast,ap-paper,naive-oracle",
                      "--out", str(out)]) == 0
         lines = out.read_text().strip().splitlines()
@@ -183,8 +185,8 @@ class TestBench:
             "ap-fast", "ap-paper", "naive-oracle"]
 
     @pytest.mark.parametrize("bad", [
-        ["--mode", "edsm", "--algos", "ap-fsat,naive-oracle"],
-        ["--mode", "ap", "--m", "1"],
+        ["--algos", "ap-fsat,naive-oracle"],
+        ["--m", "1"],
     ])
     def test_bad_arguments_exit_2(self, tmp_path, capsys, bad):
         out = tmp_path / "bench.csv"
@@ -200,6 +202,6 @@ class TestBench:
             return cli.BitVector(v.len, v.mask ^ 1)
 
         monkeypatch.setattr(cli, "solve_ap", flip_first_bit)
-        assert main(["bench", "--mode", "ap", "--sizes", "400", "--m", "64",
+        assert main(["bench", "--sizes", "400", "--m", "64",
                      "--algos", "naive-oracle,ap-fast"]) == 3
         assert "disagreement" in capsys.readouterr().err

@@ -81,7 +81,7 @@ class TestDifferential:
         for _ in range(800):
             p = random_pattern(rng, max_m=10)
             t = random_edstring(rng, max_n=7)
-            want = tuple(brute_edsm(p, t, window_cap=t.n))
+            want = tuple(brute_edsm(p, t))
             assert search(p, t).positions == want
 
     def test_state_matches_prefix_recursion(self):
@@ -155,7 +155,7 @@ class TestDifferential:
             t = EDString(tuple(segs))
             engine = EDSMEngine(letters, naive_cutoff=23)
             got = engine.search(t.segments).positions
-            assert got == tuple(brute_edsm(letters, t, window_cap=t.n))
+            assert got == tuple(brute_edsm(letters, t))
 
 
 # Patterns for the bounded-scan tests: a^m, (ab)^k, a^(m-1)b, m = 1 (so the
@@ -210,7 +210,7 @@ class TestBoundedScans:
                 state = engine.process_segment(state, seg, j)
                 got_states.append(set(state.u.ones()))
             assert got_states == brute_active_states(p, segs)
-            assert tuple(sorted(state.reported)) == tuple(brute_edsm(p, t, window_cap=t.n))
+            assert tuple(sorted(state.reported)) == tuple(brute_edsm(p, t))
 
     def test_kmp_reads_at_most_m_letters(self, monkeypatch):
         rng = random.Random(25)
@@ -429,14 +429,14 @@ class TestBorderStore:
         m = 3000
         p = _border_pattern(kind, m, rng)
         scanned = []
-        scan = edsm_engine._longest_suffix_prefix
+        scan = edsm_engine._suffix_prefix_search
 
         def counting(t, pat, pf):
             if pat is p:
                 scanned.append(len(t))
             return scan(t, pat, pf)
 
-        monkeypatch.setattr(edsm_engine, "_longest_suffix_prefix", counting)
+        monkeypatch.setattr(edsm_engine, "_suffix_prefix_search", counting)
         store = edsm_engine._BorderStore(p)
         want = border_array(p)
         for i in _read_order(m, "descending", rng):
@@ -444,6 +444,23 @@ class TestBorderStore:
         assert sum(scanned) <= BORDER_SCAN_BUDGET * m
         # The search answered few reads; KMP passes stored the rest.
         assert len(scanned) < m // 10 and len(store) == m
+
+    def test_ascending_reads_fill_through_the_entry_read(self, monkeypatch):
+        # Where the search for entry i gives up, one KMP pass stores the
+        # entries through i; no second KMP pass over P[1:i+1] answers it.
+        p = _fibonacci(20_000)
+        passes = []
+        kmp_state = edsm_engine._kmp_state
+
+        def recording(t, pat, pf):
+            if pat is p and p.startswith(t, 1):
+                passes.append(len(t))
+            return kmp_state(t, pat, pf)
+
+        monkeypatch.setattr(edsm_engine, "_kmp_state", recording)
+        store = edsm_engine._BorderStore(p)
+        assert [store[i] for i in range(len(p))] == border_array(p)
+        assert passes == []
 
     def test_engine_builds_no_border_array(self, monkeypatch):
         def refuse(s):
@@ -461,7 +478,7 @@ class TestBorderStore:
 
 
 def _count_occ_masks(monkeypatch) -> list[str]:
-    """Count calls of the occurrence-mask search, wherever it is called from."""
+    """Count calls of the solver's occurrence-mask search."""
     calls: list[str] = []
     occ_mask = ap_engine.occ_mask
 
@@ -470,7 +487,6 @@ def _count_occ_masks(monkeypatch) -> list[str]:
         return occ_mask(p, s)
 
     monkeypatch.setattr(ap_engine, "occ_mask", counting)
-    monkeypatch.setattr(edsm_engine, "occ_mask", counting)
     return calls
 
 
@@ -489,7 +505,7 @@ class TestAlternativeRecords:
         # s = P[k:k+L] is the only alternative that repeats.  Up to
         # OVERLAP_MASK_MAX letters it takes its overlap mask and no
         # occ(s); a longer s extends per active bit on its first meeting
-        # with U != 0, later through occ(s), computed once; with
+        # with U != 0, later through the solver's occ(s), computed once; with
         # naive_cutoff=23 an s longer than 23 takes the classed route and
         # no mask at all.
         calls = _count_occ_masks(monkeypatch)
@@ -514,11 +530,11 @@ class TestAlternativeRecords:
             del calls[:]
             got, reported = _states(engine, segs)
             assert got == brute_active_states(p, segs)
-            assert reported == tuple(brute_edsm(p, t, window_cap=t.n))
+            assert reported == tuple(brute_edsm(p, t))
             assert {3, 6, 9} <= set(reported)
             rec = engine._records[s]
             route = ("overlap" if isinstance(rec, int) else
-                     "classed" if rec.occ is None else "occ")
+                     "occ" if s in engine.solver._occ_cache else "classed")
             routes.add(route)
             assert route == ("classed" if length > engine.solver.cutoff else
                              "occ" if length > OVERLAP_MASK_MAX else "overlap")
@@ -548,7 +564,7 @@ class TestAlternativeRecords:
             return EDString(tuple(segs))
 
         once = text(cuts[:2])
-        assert search(p, once).positions == tuple(brute_edsm(p, once, window_cap=once.n))
+        assert search(p, once).positions == tuple(brute_edsm(p, once))
         assert search(p, once).positions == (5, 10)
         assert calls == []
         twice = text(cuts)
@@ -565,7 +581,7 @@ class TestAlternativeRecords:
 
     def test_record_cache_of_long_alternatives_stays_within_budget(self):
         # The same 2^16 tails behind a 24-letter head: 40 letters, past
-        # OVERLAP_MASK_MAX, so every record is a START/END/occ record.
+        # OVERLAP_MASK_MAX, so every record is a START/END record.
         rng = random.Random(30)
         m = 48
         head = "".join(rng.choice("ab") for _ in range(24))
@@ -580,7 +596,7 @@ def _fill_records(rng: random.Random, m: int, members: list[str]) -> EDSMEngine:
     p = "".join(rng.choice("ab") for _ in range(m))
     rng.shuffle(members)
     size = len(members[0])
-    assert len(members) * (size + 3 * (m // 8) + ap_engine._ENTRY_OVERHEAD) > OCC_CACHE_BYTES
+    assert len(members) * (size + 2 * (m // 8) + ap_engine._ENTRY_OVERHEAD) > OCC_CACHE_BYTES
     k = len(members) // 4
     segs = [Segment(frozenset(members[i : i + k])) for i in range(0, len(members), k)]
     t = EDString(tuple(segs))
@@ -593,7 +609,7 @@ def _fill_records(rng: random.Random, m: int, members: list[str]) -> EDSMEngine:
         assert engine._records.used <= OCC_CACHE_BYTES
     assert len(engine._records) < len(members)
     assert got == brute_active_states(p, segs)
-    assert tuple(sorted(state.reported)) == tuple(brute_edsm(p, t, window_cap=t.n))
+    assert tuple(sorted(state.reported)) == tuple(brute_edsm(p, t))
     return engine
 
 
@@ -638,7 +654,7 @@ class TestOverlapMasks:
             engine = EDSMEngine(p, naive_cutoff=cutoff)
             got, reported = _states(engine, segs)
             assert got == brute_active_states(p, segs)
-            assert reported == tuple(brute_edsm(p, t, window_cap=t.n))
+            assert reported == tuple(brute_edsm(p, t))
             kinds = {type(rec) for rec in engine._records.values()}
             assert kinds == {int, edsm_engine._Record}
 
@@ -671,7 +687,7 @@ class TestOverlapMasks:
         engine = EDSMEngine(p)
         got, reported = _states(engine, segs)
         assert got == brute_active_states(p, segs)
-        assert reported == tuple(brute_edsm(p, t, window_cap=t.n)) == (3, 6, 9)
+        assert reported == tuple(brute_edsm(p, t)) == (3, 6, 9)
         assert calls == [] and scans == []
 
     def test_tagged_pattern_builds_masks_only_for_letters_met(self):
@@ -709,7 +725,7 @@ class TestOverlapMasks:
         assert 6400 * engine._letters.cost > records.budget
         assert got == brute_active_states(p, segs)
         t = EDString(tuple(segs))
-        assert tuple(sorted(state.reported)) == tuple(brute_edsm(p, t, window_cap=t.n))
+        assert tuple(sorted(state.reported)) == tuple(brute_edsm(p, t))
         assert state.reported
 
 

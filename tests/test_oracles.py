@@ -44,7 +44,7 @@ class TestBruteAp:
 class TestBruteEdsm:
     def test_published_example(self):
         t = parse_eds(EXAMPLE_TEXT)
-        assert brute_edsm("GTAT", t, window_cap=t.n) == [2, 6, 7]
+        assert brute_edsm("GTAT", t) == [2, 6, 7]
 
     def test_single_segment_substring(self):
         t = parse_eds("{xGTATx,y}")
@@ -54,20 +54,18 @@ class TestBruteEdsm:
         # An occurrence of "ab" fully inside segment 2 must not also be
         # reported at segment 3 via an empty final part.
         t = parse_eds("{a}{b}{c,}")
-        assert brute_edsm("ab", t, window_cap=t.n) == [2]
+        assert brute_edsm("ab", t) == [2]
 
     def test_epsilon_chain_longer_than_pattern(self):
         # The spanning window may exceed m+2 segments through epsilon
-        # middles; an explicit cap is needed to see such matches.
-        t = parse_eds("{a}{,x}{,x}{,x}{,x}{b}")
-        p = "ab"
-        assert brute_edsm(p, t, window_cap=t.n) == [6]
-        assert brute_edsm(p, t) == []  # default cap m+2 = 4 misses it
+        # middles.
+        for text in ("{a}{,x}{,x}{,x}{,x}{b}", "{a,c}{,c}{,c}{,c}{,c}{b,c}"):
+            assert brute_edsm("ab", parse_eds(text)) == [6], text
 
     def test_budget_enforced(self):
         t = parse_eds("{aa,ab,ba,bb}" * 8)
         with pytest.raises(BudgetExceededError):
-            brute_edsm("abababab", t, window_cap=t.n, budget=50)
+            brute_edsm("abababab", t, budget=50)
 
     def test_budget_env_default(self):
         assert oracle_budget() >= 1
