@@ -3,7 +3,18 @@
 Segments are consumed strictly left to right.  For each segment the
 engine applies four effects to the active-prefix state U:
 
-* FULL-INSIDE: the pattern occurs inside an alternative (substring search);
+* FULL-INSIDE: the pattern occurs inside an alternative.  ``search``
+  reads the text WINDOW_SEGMENTS segments at a time; the first time a
+  window needs FULL, it joins the window's distinct alternatives of at
+  least m letters that have no record yet, with NUL between them (P
+  holds no NUL, so no match spans two), and finds P in them by one C
+  search that resumes after each alternative it hits.  CPython searches
+  a string of 30 000 letters or more (for 6 <= m < 100) by two-way
+  search, which reads DNA about twice as fast as the skip loop it uses
+  on each shorter alternative.  The window holds at most
+  WINDOW_SEGMENTS segments and, while it searches, the joined string.
+  A window without such alternatives searches nothing; process_segment
+  called on its own tests ``P in s``;
 * START: suffixes of an alternative that are pattern prefixes activate
   their lengths;
 * EXTEND: the Active Prefixes subproblem over alternatives shorter than
@@ -56,7 +67,9 @@ the records budget plus the occurrence budget, each OCC_CACHE_BYTES.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
+from itertools import accumulate, islice
 from typing import Iterable
 
 from .ap_engine import _ENTRY_OVERHEAD, OCC_CACHE_BYTES, APSolver, _BudgetCache
@@ -67,6 +80,14 @@ __all__ = ["MatchReport", "MatchState", "EDSMEngine", "search"]
 # Longest alternative that takes the overlap-mask route; the padding of
 # every letter mask is this wide.
 OVERLAP_MASK_MAX = 32
+
+# Segments per window of EDSMEngine.search: the window's alternatives of
+# at least m letters are searched for P in one C search (see _full).  A
+# measured sweep over 64..1024 fixed it: on DNA blocks of 200-2000
+# letters, 64 segments join fewer letters than CPython's two-way search
+# needs, and search speed is flat from 128 on while the window's memory
+# grows with it.
+WINDOW_SEGMENTS = 256
 
 # Letters per letter of P, and nesting, that a border store's on-demand
 # reads may reach before one KMP pass fills it (see _BorderStore).
@@ -350,6 +371,10 @@ class EDSMEngine:
         # mask has fewer than 2m bits) and overhead.
         self._records = _RecordCache(OCC_CACHE_BYTES)
         self._entry_cost = 2 * (self.m // 8) + _ENTRY_OVERHEAD
+        # The segments of search's current window, and FULL of their
+        # long alternatives once the window has scanned (see _full).
+        self._window: list[Segment] | None = None
+        self._inside: dict[str, bool] | None = None
 
     def new_state(self) -> MatchState:
         return MatchState(BitVector(self.m))
@@ -379,9 +404,41 @@ class EDSMEngine:
         start = 0
         for low, d, count in _border_runs(_longest_suffix_prefix(s[-m:], p, pf), pf):
             start |= _spaced_bits(d, count) << (low - 1)
-        rec = _Record(len(s) >= m and p in s, start)
+        rec = _Record(len(s) >= m and self._full(s), start)
         self._records.put(s, rec, len(s) + self._entry_cost)
         return rec
+
+    def _full(self, s: str) -> bool:
+        """Whether P occurs in s, |s| >= m: read from the current window's
+        scan, made on the first call in the window, or by ``P in s``
+        outside a window or for an alternative the scan left out."""
+        inside = self._inside
+        if inside is None:
+            if self._window is None:
+                return self.p in s
+            inside = self._inside = self._scan(self._window)
+        held = inside.get(s)
+        return self.p in s if held is None else held
+
+    def _scan(self, window: list[Segment]) -> dict[str, bool]:
+        """FULL of each distinct alternative of window with at least m
+        letters and no record yet, by one C search of P through them
+        joined with NUL, which P cannot hold: a match cannot span two
+        alternatives.  After a hit the search resumes at the next one."""
+        m, p, records = self.m, self.p, self._records
+        inside = dict.fromkeys((s for seg in window for s in seg.alternatives
+                                if len(s) >= m and s not in records), False)
+        if inside:
+            alts = list(inside)
+            text = "\0".join(alts)
+            # ends[i] is where alternative i + 1 starts in text.
+            ends = list(accumulate(len(s) + 1 for s in alts))
+            k = text.find(p)
+            while k >= 0:
+                i = bisect_right(ends, k)
+                inside[alts[i]] = True
+                k = text.find(p, ends[i])
+        return inside
 
     def _end(self, rec: _Record, s: str) -> int:
         """Bit m-q-1 for each q such that s starts with the last q letters of P."""
@@ -399,6 +456,7 @@ class EDSMEngine:
         cutoff = self.solver.cutoff
         short = self._short
         u = state.mask
+        u1 = u + 1
         u_next = 0
         over = 0  # OR of the short alternatives' overlap steps
         report = False
@@ -406,16 +464,18 @@ class EDSMEngine:
         batch: tuple[str, ...] = ()  # alternatives for self.solver
         for s in seg.alternatives:
             n = len(s)
-            if not n:
-                u_next |= u
+            if n <= short:
+                if n:
+                    letters += n
+                    mask = records.get(s)
+                    if mask is None:
+                        mask = self._overlap(s)
+                    # (U + 1) << n, less one, is (U << n) | (2^n - 1).
+                    over |= mask & ((u1 << n) - 1)
+                else:
+                    u_next |= u
                 continue
             letters += n
-            if n <= short:
-                mask = records.get(s)
-                if mask is None:
-                    mask = self._overlap(s)
-                over |= mask & ((u << n) | ((1 << n) - 1))
-                continue
             rec = records.get(s)
             if rec is None:
                 rec = self._record(s)
@@ -457,11 +517,26 @@ class EDSMEngine:
         return state
 
     def search(self, segments: Iterable[Segment]) -> MatchReport:
+        """Feed segments, in order, through process_segment.
+
+        They are taken WINDOW_SEGMENTS at a time, so that FULL of a
+        window's long alternatives comes from one C search (see _full).
+        The search holds a window's segments until the window ends, at
+        most WINDOW_SEGMENTS - 1 of them read ahead of the one it
+        processes, and, while it scans, one string joining the window's
+        alternatives of at least m letters.
+        """
         state = self.new_state()
         n = 0
-        for seg in segments:
-            n += 1
-            self.process_segment(state, seg, n)
+        it = iter(segments)
+        try:
+            while window := list(islice(it, WINDOW_SEGMENTS)):
+                self._window, self._inside = window, None
+                for seg in window:
+                    n += 1
+                    self.process_segment(state, seg, n)
+        finally:
+            self._window = self._inside = None
         if n == 0:
             raise ValueError("empty ED text")
         return MatchReport(tuple(sorted(state.reported)), n, state.letters)

@@ -1,6 +1,7 @@
 import itertools
 import random
 import sys
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -742,3 +743,156 @@ class TestBudgetCache:
         assert s not in engine._records
         assert engine._records.used <= OCC_CACHE_BYTES
         assert {p[:10], "ab"} <= engine._records.keys()
+
+
+def _search_states(engine: EDSMEngine, segs) -> tuple[list[set[int]], MatchReport]:
+    """The state after each segment of engine.search(segs), read by
+    wrapping the engine's process_segment, and the report."""
+    got = []
+    step = engine.process_segment
+
+    def recording(state, seg, j):
+        state = step(state, seg, j)
+        got.append(set(state.u.ones()))
+        return state
+
+    engine.process_segment = recording
+    return got, engine.search(segs)
+
+
+def _window_text(rng: random.Random, p: str, n: int) -> list[Segment]:
+    """n segments whose long alternatives hold P at their start or end,
+    equal P, split P over two alternatives of one segment or of adjacent
+    segments, repeat near and far, or hold NUL; beside short pieces of P
+    and epsilon."""
+    m = len(p)
+
+    def junk(k: int) -> str:
+        return "".join(rng.choice("ab") for _ in range(k))
+
+    repeated = [junk(m + rng.randint(0, m)), junk(rng.randint(0, m)) + p + junk(2)]
+    segs = []
+    carry = None  # the second half of P split over two segments
+    for _ in range(n):
+        alts = set() if carry is None else {carry}
+        carry = None
+        for _ in range(rng.randint(1, 3)):
+            c = rng.randint(1, m - 1) if m > 1 else 0
+            kind = rng.randrange(8)
+            if kind == 0:
+                alts.add(p + junk(rng.randint(0, m)))
+            elif kind == 1:
+                alts.add(junk(rng.randint(0, m)) + p)
+            elif kind == 2:
+                alts.add(p)
+            elif kind == 3:
+                alts |= {junk(m) + p[:c], p[c:] + junk(m)}
+            elif kind == 4:
+                alts.add(junk(m) + p[:c])
+                carry = p[c:] + junk(m)
+            elif kind == 5:
+                alts.add(rng.choice(repeated))
+            elif kind == 6:
+                alts.add(rng.choice([p[:c] + "\0" + p[c:], "\0" + p, p + "\0"]))
+            else:
+                k = rng.randrange(m)
+                alts |= {p[k : rng.randint(k + 1, m)], junk(rng.randint(1, m))}
+        if rng.random() < 0.2:
+            alts.add("")
+        segs.append(Segment(frozenset(alts)))
+    return segs
+
+
+class TestWindowScan:
+    @staticmethod
+    def _check(p: str, segs: list[Segment], budget: int | None = None) -> None:
+        """search against a bare process_segment loop, brute_active_states
+        and brute_edsm, state by state."""
+        engines = [EDSMEngine(p), EDSMEngine(p)]
+        if budget is not None:
+            for engine in engines:
+                engine._records.budget = budget
+        got, report = _search_states(engines[0], segs)
+        bare, reported = _states(engines[1], segs)
+        assert got == bare == brute_active_states(p, segs)
+        t = EDString(tuple(segs))
+        assert report.positions == reported == tuple(brute_edsm(p, t))
+        assert (report.n, report.N) == (t.n, t.N)
+        assert engines[0]._window is None and engines[0]._inside is None
+
+    @given(st.integers(1, 12), st.sampled_from([1, 2, 3, 7]), st.integers(1, 30),
+           st.booleans(), st.integers(0, 2**32))
+    @settings(max_examples=300, deadline=None)
+    def test_small_windows_match_oracles(self, m, k, n, tiny_budget, seed):
+        rng = random.Random(seed)
+        p = "".join(rng.choice("ab") for _ in range(m))
+        segs = _window_text(rng, p, n)
+        # A budget of a few records clears the cache inside a window.
+        budget = 4 * (3 * m + 2 * (m // 8) + ap_engine._ENTRY_OVERHEAD) if tiny_budget else None
+        with mock.patch.object(edsm_engine, "WINDOW_SEGMENTS", k):
+            self._check(p, segs, budget)
+
+    @pytest.mark.parametrize("extra", [-1, 0, 1])
+    def test_texts_around_one_window_match_oracles(self, extra):
+        rng = random.Random(40 + extra)
+        p = "".join(rng.choice("ab") for _ in range(8))
+        segs = _window_text(rng, p, edsm_engine.WINDOW_SEGMENTS + extra)
+        self._check(p, segs)
+        self._check(p, segs, budget=1 << 9)
+
+    def test_split_pattern_is_not_inside(self):
+        # P split over adjacent alternatives of the joined string, and over
+        # an alternative's NUL; P after a NUL is inside.
+        p = "abcab"
+        window = [Segment(frozenset({"xxxab"})), Segment(frozenset({"cabyy"})),
+                  Segment(frozenset({"ab\0cab"})), Segment(frozenset({"\0abcab", "abca"}))]
+        engine = EDSMEngine(p)
+        assert engine._scan(window) == {"xxxab": False, "cabyy": False, "ab\0cab": False,
+                                        "\0abcab": True}
+        assert engine.search(window).positions == (2, 4)
+
+    def test_one_scan_per_window_with_new_long_alternatives(self, monkeypatch):
+        scans = []
+        scan = EDSMEngine._scan
+
+        def counting(engine, window):
+            scans.append(len(window))
+            return scan(engine, window)
+
+        monkeypatch.setattr(EDSMEngine, "_scan", counting)
+        k = edsm_engine.WINDOW_SEGMENTS
+        p = "abba"
+        short = [Segment(frozenset({"ab", "b", ""}))] * k
+        long = [Segment(frozenset({"aabbaa", "ba"})), Segment(frozenset({"babab"}))] * (k // 2)
+        new = [Segment(frozenset({"abbab"}))] + short[1:]
+        # Windows: short only, new long alternatives, the same ones again,
+        # one more new long alternative.
+        engine = EDSMEngine(p)
+        assert engine.search(short + long + long + new).positions
+        assert scans == [k, k]
+        del scans[:]
+        _states(EDSMEngine(p), long)  # outside search, FULL is P in s
+        assert scans == []
+
+    def test_generator_is_read_at_most_one_window_ahead(self):
+        k = edsm_engine.WINDOW_SEGMENTS
+        pulled = 0
+
+        def stream():
+            nonlocal pulled
+            for j in range(3 * k + 5):
+                pulled += 1
+                yield Segment(frozenset({"abab" * (j % 7 + 1), "b"}))
+
+        ahead = []
+        engine = EDSMEngine("abab")
+        step = engine.process_segment
+
+        def recording(state, seg, j):
+            ahead.append(pulled - j)
+            return step(state, seg, j)
+
+        engine.process_segment = recording
+        report = engine.search(stream())
+        assert report.n == pulled == 3 * k + 5
+        assert max(ahead) == k - 1 and min(ahead) == 0
