@@ -78,12 +78,7 @@ def _path(prefix: str, ext: str) -> Path:
 
 
 def _read_pattern(arg: str):
-    if arg.startswith("@"):
-        text = Path(arg[1:]).read_text(encoding="utf-8")
-        if text.endswith("\n"):
-            text = text[:-1]
-    else:
-        text = arg
+    text = Path(arg[1:]).read_text(encoding="utf-8") if arg.startswith("@") else arg
     return parse_pattern_text(text)
 
 
@@ -123,8 +118,7 @@ def cmd_search(args: argparse.Namespace) -> int:
 
 def _write_td(args: argparse.Namespace) -> int:
     if args.n is None:
-        print("error: --n is required for td", file=sys.stderr)
-        return 2
+        raise ValueError("--n is required for td")
     rng = random.Random(args.seed)
     n, s = args.n, args.s
     ra, rb, rc = (
@@ -162,13 +156,10 @@ def _write_bmm(args: argparse.Namespace) -> int:
         a, b = BoolMatrix.from_rows(_DEMO_A), BoolMatrix.from_rows(_DEMO_B)
         n, l = 6, 3
         if (args.n, args.l) not in ((None, None), (6, 3)):
-            print("error: the demo instance is fixed at --n 6 --l 3", file=sys.stderr)
-            return 2
+            raise ValueError("the demo instance is fixed at --n 6 --l 3")
     else:
         if args.n is None or args.l is None:
-            print("error: --n and --l are required without --paper-example",
-                  file=sys.stderr)
-            return 2
+            raise ValueError("--n and --l are required without --paper-example")
         n, l = args.n, args.l
         rng = random.Random(args.seed)
         a = _random_matrix(rng, n, args.density)
@@ -216,9 +207,7 @@ def cmd_generate(args: argparse.Namespace) -> int:
 
 
 def _verify_td(out: str, sidecar: dict) -> int:
-    pattern = parse_pattern_text(
-        _path(out, ".pattern.txt").read_text(encoding="utf-8").rstrip("\n")
-    )
+    pattern = parse_pattern_text(_path(out, ".pattern.txt").read_text(encoding="utf-8"))
     text = parse_eds(_path(out, ".eds").read_text(encoding="utf-8"))
     a, b, c = (BoolMatrix.from_rows(sidecar[key]) for key in ("a", "b", "c"))
     want = bool(sidecar["triangle"])
@@ -341,12 +330,10 @@ def _bench(args: argparse.Namespace, writer) -> int:
 def cmd_bench(args: argparse.Namespace) -> int:
     unknown = [a for a in args.algos if a not in _BENCH_ALGOS]
     if unknown:
-        print(f"error: unknown bench algorithm {', '.join(unknown)} "
-              f"(choose from {', '.join(_BENCH_ALGOS)})", file=sys.stderr)
-        return 2
+        raise ValueError(f"unknown bench algorithm {', '.join(unknown)} "
+                         f"(choose from {', '.join(_BENCH_ALGOS)})")
     if args.m < 2:
-        print("error: --m must be at least 2", file=sys.stderr)
-        return 2
+        raise ValueError("--m must be at least 2")
     out = open(args.out, "w", newline="") if args.out else sys.stdout
     try:
         writer = csv.writer(out)

@@ -13,11 +13,13 @@ stays alphabet-agnostic.
 
 The parser streams: it reads fixed-size chunks and yields each segment
 once a brace or the end of the input completes it, so its memory is the
-largest segment plus one chunk.  Clean text, only [A-Za-z0-9] letters
-between braces and commas, with whitespace anywhere, is split by C
-string methods after one alphanumeric check per chunk; anything else
-(``<kind:id>`` escapes, private-use letters, faults) goes through the
-regex loop, which gives every fault its message and byte offset.
+largest segment plus one chunk.  One routine checks and splits every run
+of complete units: clean text, only [A-Za-z0-9] letters between braces
+and commas, with whitespace anywhere, passes one alphanumeric check;
+other text passes one character-class check once its ``<kind:id>``
+escapes are translated; C string methods then split it.  Text that fails
+holds a fault, and one tokenizer reads it again to find the first, with
+its message and byte offset.
 """
 
 from __future__ import annotations
@@ -51,21 +53,19 @@ ALPHABET = frozenset(
 _PUA_BASE = 0xE000
 _PUA_KINDS = 5
 _PUA_IDS = 1280  # 5 * 1280 = 6400 = size of the BMP private use area
-_SYMBOL_RE = re.compile(r"<([0-9]+):([0-9]+)>")
+_ESCAPE = r"<([0-9]+):([0-9]+)>"
+_SYMBOL_RE = re.compile(_ESCAPE)
 
 # The letter grammar: ALPHABET and the tagged-symbol area, written <k:id> in
-# files, plus what each context skips or splits on.  Escapes are translated
-# first, so each check is one character-class repeat (constant re memory).
+# files.  Escapes are translated first, so each check is one character-class
+# repeat (constant re memory); the token patterns find the first fault.
 _LETTER = f"A-Za-z0-9{chr(_PUA_BASE)}-{chr(_PUA_BASE + _PUA_KINDS * _PUA_IDS - 1)}"
 _PATTERN_RE = re.compile(f"[{_LETTER}]*")
-_RUN_RE = re.compile(rf"[{_LETTER}\s]*")
-_BODY_RE = re.compile(rf"[{_LETTER}\s,]*")
+_TEXT_RE = re.compile(f"[{_LETTER}{{}},]*")
+_PATTERN_TOKEN_RE = re.compile(rf"[{_LETTER}]+|{_ESCAPE}")
+_TOKEN_RE = re.compile(rf"[{_LETTER}\s]+|{_ESCAPE}|[{{}},]")
 
-# A file's units: "{body}", or a bare run that the next "{" ends.
 _CHUNK = 1 << 16
-_UNIT_RE = re.compile(r"\s*(?:\{([^{}]*)\}|([^{}\s][^{}]*)(?=\{))")
-_SPACE_RE = re.compile(r"\s*")
-_BRACE_RE = re.compile(r"[{}]")
 _CLEAN = bytes.maketrans(b"{},", b"000")  # braces and commas read as letters
 
 
@@ -243,36 +243,23 @@ def _symbol(m: re.Match) -> str:
         return m[0]  # left as written, so its '<' fails the check
 
 
-def _letters(text: str, chars: re.Pattern, offset=lambda i: i, at: int = 0) -> str:
-    """Translate text's <k:id> escapes, check it against chars and drop its
-    whitespace; the first fault, text[j], is reported at offset(at + j)."""
-    letters = _SYMBOL_RE.sub(_symbol, text) if "<" in text else text
-    if chars.fullmatch(letters):
-        return "".join(letters.split())
-    i = chars.match(text).end()
-    while m := _SYMBOL_RE.match(text, i):
-        try:
-            encode_symbol(int(m[1]), int(m[2]))
-        except ValueError as exc:
-            raise EDSParseError(str(exc), offset(at + i)) from None
-        i = chars.match(text, m.end()).end()
-    ch = text[i]
-    message = "malformed symbol escape" if ch == "<" else f"illegal character {ch!r}"
-    raise EDSParseError(message, offset(at + i))
-
-
-def _clean_units(head: str) -> list[Segment] | None:
-    """The segments of head, a run of complete units, when it is clean: ASCII
-    letters and digits, braces and commas, and no brace out of place, once
-    its whitespace is dropped (which never changes such a head's segments).
-    None otherwise, so that the regex loop parses head and reports its
-    faults."""
-    if not head.isascii():
-        return None
+def _clean(text: str) -> bool:
+    """Whether text holds only [A-Za-z0-9] letters, braces and commas."""
     # On ASCII bytes, unlike str, isalnum holds for exactly [A-Za-z0-9]+.
-    if not head.encode().translate(_CLEAN).isalnum():
+    return text.isascii() and text.encode().translate(_CLEAN).isalnum()
+
+
+def _units(head: str) -> list[Segment] | None:
+    """The segments of head, a run of complete units, or None when head holds
+    a fault.  Clean text passes a bytes check, once its whitespace is dropped
+    if need be; other text passes one _TEXT_RE check once its <k:id> escapes
+    are translated and its whitespace dropped, which never changes a
+    faultless head's segments.  C string methods then split the head."""
+    if not _clean(head):
+        if "<" in head:
+            head = _SYMBOL_RE.sub(_symbol, head)
         head = "".join(head.split())
-        if not head.encode().translate(_CLEAN).isalnum():
+        if head and not (_clean(head) or _TEXT_RE.fullmatch(head)):
             return None
     lead, *parts = head.split("{")
     if "}" in lead or "," in lead:
@@ -288,6 +275,37 @@ def _clean_units(head: str) -> list[Segment] | None:
     return segs
 
 
+def _first_fault(text: str, tokens: re.Pattern) -> tuple[int, str]:
+    """The index and message of text's first fault, read token by token:
+    letter runs, <k:id> escapes, and in ED text braces at most one deep and
+    commas between them.  text must hold a fault; an unclosed brace at its
+    end is one."""
+    i = depth = 0
+    while m := tokens.match(text, i):
+        token = m[0]
+        if m[1]:
+            try:
+                encode_symbol(int(m[1]), int(m[2]))
+            except ValueError as exc:
+                return i, str(exc)
+        elif token == "{":
+            if depth:
+                return i, "nested braces"
+            depth = 1
+        elif token == "}" or token == ",":
+            if not depth:
+                break  # outside braces, an illegal character
+            depth = token == ","
+        i = m.end()
+    if i == len(text):
+        return i, "unbalanced braces"
+    return i, "malformed symbol escape" if text[i] == "<" else f"illegal character {text[i]!r}"
+
+
+def _nbytes(text: str) -> int:
+    return len(text.encode("utf-8", "surrogatepass"))
+
+
 def iter_parse_eds(stream: io.TextIOBase | str) -> Iterator[Segment]:
     """Parse an EDS byte stream, yielding segments one at a time.
 
@@ -296,67 +314,37 @@ def iter_parse_eds(stream: io.TextIOBase | str) -> Iterator[Segment]:
     is complete; so memory is bounded by the largest segment plus one chunk.
 
     Each time a brace arrives, the buffer's units are complete up to its
-    last brace: before a ``{``, through a ``}`` (and at the end of the
-    input up to its trailing whitespace).  When that head is clean (see
-    ``_clean_units``) C string methods split it; otherwise the regex loop
-    parses the whole buffer, so every fault keeps its message and byte
-    offset.
+    last brace: before a ``{``, through a ``}`` (at the end of the input,
+    all of it).  ``_units`` checks that head and splits it.  A head that
+    holds a fault is read again by ``_first_fault``; the units before the
+    faulty one are yielded, and the fault is raised with its message and
+    byte offset.
     """
     if isinstance(stream, str):
         stream = io.StringIO(stream)
     base = 0  # byte offset of buf[0] in the input
     pieces: list[str] = []  # an unfinished unit, gathered until a brace ends it
     saw_any = False
-
-    def offset(i: int) -> int:  # byte offset of buf[i] in the input
-        return base + len(buf[:i].encode("utf-8", "surrogatepass"))
-
     while True:
         chunk = stream.read(_CHUNK)
         pieces.append(chunk)
         if chunk and "{" not in chunk and "}" not in chunk:
             continue
         buf = "".join(pieces)
-        head = buf[: max(buf.rfind("{"), buf.rfind("}") + 1)] if chunk else buf.rstrip()
-        segs = _clean_units(head) if head else None
-        pos = 0
-        if segs:
-            yield from segs
-            saw_any = True
-            pos = len(head)
-        # A unit needs a "{" ahead, and a "{" at pos a "}" after it; without
-        # them the regex would fail only after backtracking over the tail.
-        while (o := buf.find("{", pos)) >= 0 and (o > pos or buf.find("}", o) >= 0):
-            m = _UNIT_RE.match(buf, pos)
-            if m is None:
-                break
-            body, run = m.groups()
-            if body is not None:
-                yield Segment(frozenset(_letters(body, _BODY_RE, offset, m.start(1)).split(",")))
-            else:
-                yield Segment(frozenset((_letters(run, _RUN_RE, offset, m.start(2)),)))
-            saw_any = True
-            pos = m.end()
-        # buf[pos:] holds no complete unit: keep it while a later chunk may
-        # complete it, else report its first fault.
-        s = _SPACE_RE.match(buf, pos).end()
-        brace = buf.startswith("{", s)
-        b = _BRACE_RE.search(buf, s + brace)
-        if b is None and chunk:
-            base = offset(s)
-            pieces = [buf[s:]]
-            continue
-        stop = len(buf) if b is None else b.start()
-        if brace:
-            _letters(buf[s + 1 : stop], _BODY_RE, offset, s + 1)
-            message = "unbalanced braces" if b is None else "nested braces"
-            raise EDSParseError(message, offset(stop))
-        if s < len(buf):
-            run = _letters(buf[s : stop + 1], _RUN_RE, offset, s)  # fails at a "}"
-            yield Segment(frozenset((run,)))
-        elif not saw_any:
-            raise EDSParseError("empty input", offset(len(buf)))
-        return
+        end = max(buf.rfind("{"), buf.rfind("}") + 1) if chunk else len(buf)
+        segs = _units(buf[:end])
+        if segs is None:
+            i, message = _first_fault(buf, _TOKEN_RE)
+            yield from _units(buf[: max(buf.rfind("{", 0, i), buf.rfind("}", 0, i) + 1)])
+            raise EDSParseError(message, base + _nbytes(buf[:i]))
+        yield from segs
+        saw_any = saw_any or bool(segs)
+        if not chunk:
+            if not saw_any:
+                raise EDSParseError("empty input", base + _nbytes(buf))
+            return
+        base += _nbytes(buf[:end])
+        pieces = [buf[end:]]
 
 
 def parse_eds(text: str) -> EDString:
@@ -398,6 +386,10 @@ def parse_pattern_text(text: str) -> Pattern:
     Surrounding whitespace is ignored; an error's offset is the UTF-8 byte
     offset of the fault in text itself.
     """
+    core = text.strip()
+    letters = _SYMBOL_RE.sub(_symbol, core) if "<" in core else core
+    if _PATTERN_RE.fullmatch(letters):
+        return Pattern(letters)
+    i, message = _first_fault(core, _PATTERN_TOKEN_RE)
     lead = len(text) - len(text.lstrip())
-    return Pattern(_letters(text.strip(), _PATTERN_RE,
-                            lambda i: len(text[:i].encode("utf-8", "surrogatepass")), lead))
+    raise EDSParseError(message, _nbytes(text[: lead + i]))

@@ -2,6 +2,7 @@ import copy
 import io
 import pickle
 import random
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -273,13 +274,14 @@ class TestParsing:
         assert (t.n, t.N) == (7, 28)
 
 
-# Pieces of EDS text: clean ones the C fast path may take, and the rest:
-# whitespace, which it drops, and everything that must send a head to the
-# regex loop.
+# Pieces of EDS text: clean ones, only [A-Za-z0-9] letters between braces
+# and commas, and the rest: whitespace, escapes, private-use letters, and
+# faults, bare or inside braces.
 _CLEAN_PIECES = ["ACGT", "a", "Z9", "{", "}", ",", "{}", "{,}", "{a,}", "{A,C}"]
-_DIRTY_PIECES = [" ", "\n", "\t", "\x0b", "\x1c", "\x1d", "\x1e", "\x1f",
-                 "<1:5>", "<5:1279>", "<6:1>", "<1:99999>", "<1:x>", "<2:", "\ue000",
-                 "\ue000<1:0>", "é", "€", ";", "{a{b}}", "{{", "}}"]
+_DIRTY_PIECES = [" ", "\n", "\t", "\x0b", "\x1c", "\x1d", "\x1e", "\x1f", "\x85", "\u3000",
+                 "<1:5>", "<5:1279>", "<6:1>", "<1:99999>", "<1:x>", "<2:", "<0:1>",
+                 "<01:002>", "\ue000", "\ue000<1:0>", "é", "€", ";", "\ud800", "{a{b}}",
+                 "{{", "}}"]
 _clean_run = st.text(alphabet="ACGTab01", min_size=1, max_size=8)
 _clean_piece = st.one_of(
     st.sampled_from(_CLEAN_PIECES),
@@ -287,12 +289,18 @@ _clean_piece = st.one_of(
     st.lists(st.text(alphabet="ACGT", max_size=3), min_size=1, max_size=4).map(
         lambda alts: "{" + ",".join(alts) + "}"),
 )
+_dirty_piece = st.sampled_from(_DIRTY_PIECES)
 _eds_text = st.tuples(
     st.lists(_clean_piece, max_size=12),
-    st.lists(st.one_of(_clean_piece, st.sampled_from(_DIRTY_PIECES)), max_size=4),
+    st.lists(st.one_of(_clean_piece, _dirty_piece,
+                       _dirty_piece.map(lambda p: "{A" + p + ",}")), max_size=4),
     st.lists(_clean_piece, max_size=12),
     st.sampled_from(["", "\n", " \n"]),
 ).map(lambda t: "".join(t[0]) + "".join(t[1]) + "".join(t[2]) + t[3])
+_pattern_text = st.lists(
+    st.sampled_from(["ACGT", "a", "\ue000", "<1:5>", "<6:1>", "<1:x>", "<2:", " ", "\n",
+                     "\u3000", "€", "{", ",", ";", "\ud800"]),
+    max_size=8).map("".join)
 
 
 def _outcome(text):
@@ -304,6 +312,82 @@ def _outcome(text):
     except EDSParseError as exc:
         return segs, str(exc), exc.offset
     return segs, None, None
+
+
+def _reference_letter(text, i):
+    """The letter at text[i] (a tagged symbol for an escape), the index after
+    it, and None; or None, i and the fault's message."""
+    ch = text[i]
+    if ch in ALPHABET or "\ue000" <= ch <= chr(0xE000 + 5 * 1280 - 1):
+        return ch, i + 1, None
+    if ch != "<":
+        return None, i, f"illegal character {ch!r}"
+    fields, j = [], i + 1
+    for stop in ":>":
+        k = j
+        while k < len(text) and text[k] in "0123456789":
+            k += 1
+        if k == j or not text.startswith(stop, k):
+            return None, i, "malformed symbol escape"
+        fields.append(int(text[j:k]))
+        j = k + 1
+    try:
+        return encode_symbol(*fields), j, None
+    except ValueError as exc:
+        return None, i, str(exc)
+
+
+def _reference(text):
+    """Parse an ED text one character at a time by the grammar: the segments
+    completed before the first fault, then its message and byte offset."""
+    segs, alts, word, i = [], None, "", 0  # alts: the open brace's alternatives
+
+    def fault(message, j):
+        offset = len(text[:j].encode("utf-8", "surrogatepass"))
+        return segs, f"{message} (byte offset {offset})", offset
+
+    while i < len(text):
+        ch = text[i]
+        if ch.isspace():
+            i += 1
+        elif ch == "{":
+            if alts is not None:
+                return fault("nested braces", i)
+            if word:
+                segs.append(Segment(frozenset({word})))
+            alts, word, i = [], "", i + 1
+        elif ch in ",}" and alts is not None:
+            alts.append(word)
+            word, i = "", i + 1
+            if ch == "}":
+                segs.append(Segment(frozenset(alts)))
+                alts = None
+        else:
+            letter, i, message = _reference_letter(text, i)
+            if message:
+                return fault(message, i)
+            word += letter
+    if alts is not None:
+        return fault("unbalanced braces", len(text))
+    if word:
+        segs.append(Segment(frozenset({word})))
+    if not segs:
+        return fault("empty input", len(text))
+    return segs, None, None
+
+
+def _reference_pattern(text):
+    """The letters of a pattern text, then its first fault's message and
+    byte offset, read one character at a time."""
+    lead = len(text) - len(text.lstrip())
+    core, letters, i = text.strip(), "", 0
+    while i < len(core):
+        letter, i, message = _reference_letter(core, i)
+        if message:
+            offset = len(text[: lead + i].encode("utf-8", "surrogatepass"))
+            return None, f"{message} (byte offset {offset})", offset
+        letters += letter
+    return letters, None, None
 
 
 def _pangenome_units(rng, size):
@@ -320,77 +404,89 @@ def _pangenome_units(rng, size):
     return parts, segs
 
 
-class _CountingMatch:
-    def __init__(self, pattern):
-        self.pattern, self.calls = pattern, 0
+def _watch(mp):
+    """Record the arguments of every _SYMBOL_RE.sub, _TEXT_RE.fullmatch and
+    _first_fault call."""
+    seen = {"sub": [], "fullmatch": [], "first_fault": []}
 
-    def match(self, *args):
-        self.calls += 1
-        return self.pattern.match(*args)
+    def spy(name, fn):
+        def call(*args):
+            seen[name].append(args)
+            return fn(*args)
+        return call
+
+    mp.setattr(eds_core, "_SYMBOL_RE", SimpleNamespace(sub=spy("sub", eds_core._SYMBOL_RE.sub)))
+    mp.setattr(eds_core, "_TEXT_RE",
+               SimpleNamespace(fullmatch=spy("fullmatch", eds_core._TEXT_RE.fullmatch)))
+    mp.setattr(eds_core, "_first_fault", spy("first_fault", eds_core._first_fault))
+    return seen
 
 
-class TestCleanHeads:
-    """Clean text is split by C string methods; the rest by the regex loop."""
+class TestOneParser:
+    """Every head is split by _units; _first_fault finds the first fault."""
 
     @given(_eds_text, st.sampled_from([1, 2, 3, 5, 8, 64, 1 << 16]))
     @settings(max_examples=400, deadline=None)
-    def test_fast_path_equals_regex_path(self, text, size):
+    def test_parser_equals_reference(self, text, size):
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(eds_core, "_CHUNK", size)
-            got = _outcome(text)
-            # Declining every head leaves all parsing to the regex loop.
-            mp.setattr(eds_core, "_clean_units", lambda head: None)
-            assert got == _outcome(text)
+            assert _outcome(text) == _reference(text)
 
-    def _watch(self, monkeypatch):
-        letters, declined = [], []
-        units = _CountingMatch(eds_core._UNIT_RE)
-        real_letters, real_clean = eds_core._letters, eds_core._clean_units
+    @given(_pattern_text)
+    @settings(max_examples=300, deadline=None)
+    def test_pattern_text_equals_reference(self, text):
+        want = _reference_pattern(text)
+        if want[0] == "":
+            with pytest.raises(ValueError, match="non-empty"):
+                parse_pattern_text(text)
+            return
+        try:
+            got = parse_pattern_text(text).letters, None, None
+        except EDSParseError as exc:
+            got = None, str(exc), exc.offset
+        assert got == want
 
-        def count_letters(text, *args):
-            letters.append(text)
-            return real_letters(text, *args)
-
-        def watch_clean(head):
-            segs = real_clean(head)
-            if segs is None:
-                declined.append(head)
-            return segs
-
-        monkeypatch.setattr(eds_core, "_letters", count_letters)
-        monkeypatch.setattr(eds_core, "_clean_units", watch_clean)
-        monkeypatch.setattr(eds_core, "_UNIT_RE", units)
-        return letters, declined, units
-
-    def test_clean_text_never_reaches_the_regex_loop(self):
+    @pytest.mark.parametrize("layout", ["plain", "newline", "final run", "\n", "\r\n"])
+    def test_clean_text_is_never_translated_or_tokenized(self, layout):
         parts, segs = _pangenome_units(random.Random(5), 200_000)
         text = "".join(parts)
-        # Files end in a newline, some right after a bare run.
-        for doc, want in ((text, segs), (text + "\n", segs),
-                          (text + "ACGT\n", segs + [Segment(frozenset({"ACGT"}))])):
-            with pytest.MonkeyPatch.context() as mp:
-                letters, declined, units = self._watch(mp)
-                assert list(iter_parse_eds(io.StringIO(doc))) == want
-            assert letters == [] and declined == [] and units.calls == 0
-
-    @pytest.mark.parametrize("newline", ["\n", "\r\n"])
-    def test_wrapped_text_never_reaches_the_regex_loop(self, newline):
-        parts, segs = _pangenome_units(random.Random(7), 200_000)
-        text = "".join(parts)
-        wrapped = newline.join(text[i : i + 80] for i in range(0, len(text), 80)) + newline
+        # Files end in a newline, some right after a bare run; some are
+        # wrapped at 80 columns.
+        doc = {"plain": text, "newline": text + "\n", "final run": text + "ACGT\n"}.get(
+            layout, layout.join(text[i : i + 80] for i in range(0, len(text), 80)) + layout)
+        if layout == "final run":
+            segs.append(Segment(frozenset({"ACGT"})))
         with pytest.MonkeyPatch.context() as mp:
-            letters, declined, units = self._watch(mp)
-            assert list(iter_parse_eds(io.StringIO(wrapped))) == segs
-        assert letters == [] and declined == [] and units.calls == 0
+            seen = _watch(mp)
+            assert list(iter_parse_eds(io.StringIO(doc))) == segs
+        assert seen == {"sub": [], "fullmatch": [], "first_fault": []}
 
-    def test_an_escape_sends_only_its_head_to_the_regex_loop(self, monkeypatch):
+    def test_an_escape_sends_only_its_head_through_translation(self, monkeypatch):
         parts, segs = _pangenome_units(random.Random(6), 200_000)
         k = 2 * (len(parts) // 4)  # a block mid-text, in the second of four buffers
         parts[k] += "<1:5>"
         segs[k] = Segment(frozenset({parts[k][:-5] + encode_symbol(1, 5)}))
-        letters, declined, units = self._watch(monkeypatch)
-        assert list(iter_parse_eds(io.StringIO("".join(parts)))) == segs
-        assert len(declined) == 1 and "<1:5>" in declined[0]
-        head_units = len(eds_core._clean_units(declined[0].replace("<1:5>", "A")))
-        assert len(letters) == head_units < len(segs) // 2
-        assert units.calls == head_units
+        text = "".join(parts)
+        seen = _watch(monkeypatch)
+        assert list(iter_parse_eds(io.StringIO(text))) == segs
+        [(_, head)] = seen["sub"]
+        assert "<1:5>" in head and len(head) < len(text) // 2
+        assert len(seen["fullmatch"]) == 1 and seen["first_fault"] == []
+
+    @pytest.mark.parametrize("text,segments,message", [
+        ("{A,C}GT}AC{T}", [{"A", "C"}], "illegal character '}' (byte offset 7)"),
+        ("AC,GT{A}", [], "illegal character ',' (byte offset 2)"),
+        ("AC{G,T}{A,C \n  ", [{"AC"}, {"G", "T"}], "unbalanced braces (byte offset 15)"),
+        ("AC{G, <6:1>T}GA", [{"AC"}], "symbol kind 6 out of range 1..5 (byte offset 6)"),
+        # At most chunk sizes the escape straddles a chunk boundary.
+        ("AC{G,T}TT<1:5>{A}<2:99999>G{C}",
+         [{"AC"}, {"G", "T"}, {"TT" + encode_symbol(1, 5)}, {"A"}],
+         "symbol id 99999 out of range 0..1279 (byte offset 17)"),
+    ])
+    def test_fault_and_segments_before_it_at_every_chunk_size(
+            self, monkeypatch, text, segments, message):
+        for size in range(1, len(text) + 2):
+            monkeypatch.setattr(eds_core, "_CHUNK", size)
+            segs, got, _ = _outcome(text)
+            assert ([s.alternatives for s in segs], got) == (
+                [frozenset(alts) for alts in segments], message), size
