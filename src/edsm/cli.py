@@ -6,35 +6,25 @@ Subcommands:
 * ``generate`` — write triangle-detection or matrix-product test instances
   together with a JSON ground-truth sidecar;
 * ``verify``   — re-solve a generated instance with both the fast engine and
-  the brute-force oracle and compare against the sidecar;
-* ``bench``    — CSV timing sweep of random Active Prefixes instances
-  across sizes and algorithms: ``ap-fast`` (the default occurrence-mask
-  kernel), ``ap-paper`` (the paper's classed pipeline,
-  ``naive_cutoff=23``) and ``naive-oracle``; after each size every
-  algorithm must give the same answer.  ``perfbench/`` times the search
-  itself.
+  the brute-force oracle and compare against the sidecar.
 
 Exit codes: 0 success (search: at least one match), 1 search found no
 match, 2 usage/parse/runtime error (an exhausted oracle budget too), 3
-disagreement (verify, bench).
+disagreement (verify).
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import random
 import sys
-import time
 from pathlib import Path
 
-from .ap_engine import NAIVE_CUTOFF_BASE, APInstance, solve_ap
+from .ap_engine import APInstance, solve_ap
 from .boolean_linalg import BoolMatrix
 from .eds_core import (
-    BitVector,
     EDString,
-    Pattern,
     iter_parse_eds,
     parse_eds,
     parse_pattern_text,
@@ -120,7 +110,7 @@ def _write_td(args: argparse.Namespace) -> int:
     if args.n is None:
         raise ValueError("--n is required for td")
     rng = random.Random(args.seed)
-    n, s = args.n, args.s
+    n, s = args.n, 2 if args.s is None else args.s
     ra, rb, rc = (
         _random_matrix(rng, n, args.density).to_lists() for _ in range(3)
     )
@@ -200,7 +190,17 @@ def _write_bmm(args: argparse.Namespace) -> int:
     return 0
 
 
+# The generate flags each flavor does not read, by their argparse names.
+_FOREIGN_FLAGS = {"td": ("l", "paper_example"), "bmm": ("s", "plant")}
+
+
 def cmd_generate(args: argparse.Namespace) -> int:
+    if not 0 <= args.density <= 1:
+        raise ValueError(f"--density must be in [0, 1], not {args.density}")
+    for name in _FOREIGN_FLAGS[args.flavor]:
+        if getattr(args, name) not in (None, False):
+            raise ValueError(f"--{name.replace('_', '-')} does not apply to "
+                             f"{args.flavor}")
     if args.flavor == "td":
         return _write_td(args)
     return _write_bmm(args)
@@ -276,74 +276,6 @@ def cmd_verify(args: argparse.Namespace) -> int:
         return 3
 
 
-# Bench algorithm -> naive_cutoff of the Active Prefixes solver it runs:
-# None is the default occurrence-mask kernel, NAIVE_CUTOFF_BASE sends
-# every string longer than 23 letters through the paper's classed
-# pipeline.  "naive-oracle" runs the quadratic oracle instead.
-_BENCH_CUTOFFS = {"ap-fast": None, "ap-paper": NAIVE_CUTOFF_BASE}
-_BENCH_ALGOS = (*_BENCH_CUTOFFS, "naive-oracle")
-
-
-def _random_ap(rng: random.Random, m: int, target: int) -> APInstance:
-    """About `target` letters of strings shorter than m, half of them
-    substrings of the pattern: 64-128 letters, or m/2 to m-1 for m <= 128."""
-    letters = "".join(rng.choice("ab") for _ in range(m))
-    u = BitVector(m, rng.getrandbits(m) | 1)
-    hi = min(128, m - 1)
-    lo = max(1, min(64, hi // 2))
-    strings = set()
-    drawn = 0  # counts repeats too, so a small m cannot loop forever
-    while drawn < target:
-        length = rng.randint(lo, hi)
-        if rng.random() < 0.5:
-            start = rng.randrange(m - length + 1)
-            strings.add(letters[start : start + length])
-        else:
-            strings.add("".join(rng.choice("ab") for _ in range(length)))
-        drawn += length
-    return APInstance(Pattern(letters), u, tuple(sorted(strings)))
-
-
-def _bench(args: argparse.Namespace, writer) -> int:
-    """One row per size and algorithm; 3 when algorithms disagree on a size."""
-    for size in args.sizes:
-        inst = _random_ap(random.Random(args.seed * 1_000_003 + size), args.m, size)
-        row = [inst.pattern.m, 1, sum(map(len, inst.strings))]
-        answers = {}
-        for algo in args.algos:
-            start = time.perf_counter()
-            if algo == "naive-oracle":
-                answers[algo] = brute_ap(inst.pattern, inst.u, inst.strings)
-            else:
-                answers[algo] = solve_ap(inst, naive_cutoff=_BENCH_CUTOFFS[algo])
-            elapsed = time.perf_counter() - start
-            writer.writerow([*row, algo, f"{elapsed:.6f}"])
-        if len(set(answers.values())) > 1:
-            first, *rest = answers
-            odd = [a for a in rest if answers[a] != answers[first]]
-            print(f"disagreement: {', '.join(odd)} and {first} give different "
-                  f"answers (size {size}, seed {args.seed})", file=sys.stderr)
-            return 3
-    return 0
-
-
-def cmd_bench(args: argparse.Namespace) -> int:
-    unknown = [a for a in args.algos if a not in _BENCH_ALGOS]
-    if unknown:
-        raise ValueError(f"unknown bench algorithm {', '.join(unknown)} "
-                         f"(choose from {', '.join(_BENCH_ALGOS)})")
-    if args.m < 2:
-        raise ValueError("--m must be at least 2")
-    out = open(args.out, "w", newline="") if args.out else sys.stdout
-    try:
-        writer = csv.writer(out)
-        writer.writerow(["m", "n", "N", "algo", "seconds"])
-        return _bench(args, writer)
-    finally:
-        if args.out:
-            out.close()
-
-
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="edsm", description="Elastic-degenerate string matching toolkit"
@@ -361,7 +293,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p_gen = sub.add_parser("generate", help="write a test instance plus ground truth")
     p_gen.add_argument("flavor", choices=["td", "bmm"])
     p_gen.add_argument("--n", type=int, default=None, help="matrix size")
-    p_gen.add_argument("--s", type=int, default=2, help="block parameter (td)")
+    p_gen.add_argument("--s", type=int, default=None,
+                       help="block parameter (td, default 2)")
     p_gen.add_argument("--l", type=int, default=None, help="block size (bmm)")
     p_gen.add_argument("--density", type=float, default=0.2)
     p_gen.add_argument("--plant", action="store_true",
@@ -375,17 +308,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_verify = sub.add_parser("verify", help="re-solve an instance and check the sidecar")
     p_verify.add_argument("--instance", required=True, help="path prefix used by generate")
     p_verify.set_defaults(func=cmd_verify)
-
-    p_bench = sub.add_parser("bench", help="CSV timing sweep of Active Prefixes solvers")
-    p_bench.add_argument("--sizes", type=lambda s: [int(x) for x in s.split(",")],
-                         default=[1000, 2000, 4000], help="comma-separated sizes N")
-    p_bench.add_argument("--algos", type=lambda s: s.split(","),
-                         default=["ap-fast", "naive-oracle"],
-                         help="comma-separated: ap-fast, ap-paper, naive-oracle")
-    p_bench.add_argument("--m", type=int, default=1024, help="pattern length")
-    p_bench.add_argument("--seed", type=int, default=0)
-    p_bench.add_argument("--out", default=None, help="CSV output file (default stdout)")
-    p_bench.set_defaults(func=cmd_bench)
     return parser
 
 

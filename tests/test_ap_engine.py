@@ -108,6 +108,43 @@ class TestSolveAp:
             got = solve_ap(inst, naive_cutoff=23)
             assert got == brute_ap(inst.pattern, inst.u, inst.strings)
 
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("m", [64, 1024])
+    def test_differential_classed_many_members(self, monkeypatch, m, seed):
+        # About 20 000 letters of members shorter than m under a dense U,
+        # half of them cut from P: 64-128 letters, or m/2 to m-1 for
+        # m <= 128.  That is some 200 members at m = 1024 and 380 at
+        # m = 64; the classed route sends almost all of them to type 1.
+        rng = random.Random(seed)
+        letters = "".join(rng.choice("ab") for _ in range(m))
+        u = BitVector(m, rng.getrandbits(m) | 1)
+        hi = min(128, m - 1)
+        lo = max(1, min(64, hi // 2))
+        strings = set()
+        drawn = 0
+        while drawn < 20_000:
+            length = rng.randint(lo, hi)
+            if rng.random() < 0.5:
+                start = rng.randrange(m - length + 1)
+                strings.add(letters[start : start + length])
+            else:
+                strings.add("".join(rng.choice("ab") for _ in range(length)))
+            drawn += length
+        inst = APInstance(Pattern(letters), u, tuple(sorted(strings)))
+        type1 = []
+        real = APSolver._solve_type1
+
+        def counting(solver, umask, members, ell):
+            type1.extend(members)
+            return real(solver, umask, members, ell)
+
+        monkeypatch.setattr(APSolver, "_solve_type1", counting)
+        want = brute_ap(inst.pattern, inst.u, inst.strings)
+        assert solve_ap(inst) == want
+        assert type1 == []
+        assert solve_ap(inst, naive_cutoff=23) == want
+        assert len(type1) > 100
+
     def test_epsilon_and_overlong(self):
         p = Pattern("abab")
         u = BitVector.from01("0101")

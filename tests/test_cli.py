@@ -1,9 +1,7 @@
 import json
-import random
 
 import pytest
 
-from edsm import cli
 from edsm.cli import main
 
 EXAMPLE_TEXT = "ATGTA{A,T}C{G,T}CG{TA,TATA,}{TATGC,TTTTA}"
@@ -84,6 +82,21 @@ class TestGenerateVerify:
     def test_td_requires_size(self, tmp_path):
         assert main(["generate", "td", "--out", str(tmp_path / "x")]) == 2
 
+    @pytest.mark.parametrize("flags", [
+        ["td", "--n", "4", "--density", "2"],
+        ["td", "--n", "4", "--density", "-0.5"],
+        ["bmm", "--n", "4", "--l", "2", "--density", "nan"],
+        ["td", "--n", "6", "--paper-example"],
+        ["td", "--n", "4", "--l", "2"],
+        ["bmm", "--n", "4", "--l", "2", "--plant"],
+        ["bmm", "--paper-example", "--s", "3"],
+    ])
+    def test_bad_flags_exit_2_before_writing(self, tmp_path, capsys, flags):
+        assert main(["generate", *flags, "--out", str(tmp_path / "x")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert list(tmp_path.iterdir()) == []
+
     def test_bmm_demo_instance(self, tmp_path, capsys):
         out = tmp_path / "demo"
         assert main(["generate", "bmm", "--paper-example", "--out", str(out)]) == 0
@@ -153,55 +166,15 @@ class TestGenerateVerify:
             assert ta == tb
 
 
-class TestBench:
-    def test_csv_rows_per_size_and_algo(self, tmp_path):
-        out = tmp_path / "bench.csv"
-        assert main(["bench", "--sizes", "200,400", "--m", "64",
-                     "--algos", "ap-fast,naive-oracle", "--seed", "1",
-                     "--out", str(out)]) == 0
-        lines = out.read_text().strip().splitlines()
-        assert lines[0] == "m,n,N,algo,seconds"
-        assert len(lines) == 1 + 2 * 2
-        for line in lines[1:]:
-            m, n, size, algo, seconds = line.split(",")
-            assert (m, n) == ("64", "1")
-            assert algo in ("ap-fast", "naive-oracle")
-            assert float(seconds) >= 0
+class TestSubcommands:
+    def test_bench_is_not_a_subcommand(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["bench"])
+        assert exc.value.code == 2
+        assert "invalid choice: 'bench'" in capsys.readouterr().err
 
-    def test_ap_instance_strings_are_shorter_than_m(self):
-        # Strings of length m or more extend no prefix, so a row built from
-        # them would time an empty solve.
-        for m in (2, 64, 129, 1024):
-            inst = cli._random_ap(random.Random(m), m, 2000)
-            assert inst.strings and all(len(s) < m for s in inst.strings)
-
-    def test_paper_route_row_agrees(self, tmp_path):
-        out = tmp_path / "bench.csv"
-        assert main(["bench", "--sizes", "20000",
-                     "--algos", "ap-fast,ap-paper,naive-oracle",
-                     "--out", str(out)]) == 0
-        lines = out.read_text().strip().splitlines()
-        assert [line.split(",")[3] for line in lines[1:]] == [
-            "ap-fast", "ap-paper", "naive-oracle"]
-
-    @pytest.mark.parametrize("bad", [
-        ["--algos", "ap-fsat,naive-oracle"],
-        ["--m", "1"],
-    ])
-    def test_bad_arguments_exit_2(self, tmp_path, capsys, bad):
-        out = tmp_path / "bench.csv"
-        assert main(["bench", "--sizes", "300", *bad, "--out", str(out)]) == 2
-        assert capsys.readouterr().err.startswith("error:")
-        assert not out.exists()
-
-    def test_disagreement_exits_3(self, monkeypatch, capsys):
-        solve_ap = cli.solve_ap
-
-        def flip_first_bit(inst, naive_cutoff=None):
-            v = solve_ap(inst, naive_cutoff)
-            return cli.BitVector(v.len, v.mask ^ 1)
-
-        monkeypatch.setattr(cli, "solve_ap", flip_first_bit)
-        assert main(["bench", "--sizes", "400", "--m", "64",
-                     "--algos", "naive-oracle,ap-fast"]) == 3
-        assert "disagreement" in capsys.readouterr().err
+    def test_help_lists_exactly_the_subcommands(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["--help"])
+        assert exc.value.code == 0
+        assert "{search,generate,verify}" in capsys.readouterr().out.split()

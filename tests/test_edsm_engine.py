@@ -1,3 +1,4 @@
+import functools
 import itertools
 import random
 import sys
@@ -9,10 +10,12 @@ from hypothesis import strategies as st
 
 from edsm import ap_engine, edsm_engine, stringology
 from edsm.ap_engine import OCC_CACHE_BYTES, occ_mask
+from edsm.boolean_linalg import BoolMatrix
 from edsm.eds_core import BitVector, EDString, Pattern, Segment, parse_eds
 from edsm.edsm_engine import (BORDER_SCAN_BUDGET, OVERLAP_MASK_MAX, EDSMEngine,
                                MatchReport, search)
 from edsm.oracles import brute_active_states, brute_edsm
+from edsm.reductions import TDInstance, td_to_edsm
 from edsm.stringology import border_array
 
 from conftest import random_edstring, random_pattern
@@ -372,8 +375,23 @@ def _fibonacci(m: int) -> str:
     return b[:m]
 
 
+@functools.cache
+def _td_pattern() -> str:
+    """The td_to_edsm pattern of a seeded n = 32, s = 8 instance:
+    32 768 private-use letters."""
+    rng = random.Random(7)
+    a, b, c = (
+        BoolMatrix.from_rows([[int(rng.random() < 0.2) for _ in range(32)]
+                              for _ in range(32)])
+        for _ in range(3)
+    )
+    return td_to_edsm(TDInstance(a, b, c, 8))[0].letters
+
+
 # Pattern families for the border store: a^m, (ab)^k, (aab)^k c,
-# a^k b a^k, Fibonacci words, random binary and random ACGT.
+# a^k b a^k, Fibonacci words, random binary, random ACGT, (ACGT)^k with
+# one letter changed followed by u^k for a random 40-letter u, and the
+# pattern of a triangle-detection instance.
 def _border_pattern(kind: str, m: int, rng: random.Random) -> str:
     if kind == "a":
         return "a" * m
@@ -385,17 +403,27 @@ def _border_pattern(kind: str, m: int, rng: random.Random) -> str:
         return "a" * (m // 2) + "b" + "a" * (m - m // 2 - 1)
     if kind == "fib":
         return _fibonacci(m)
+    if kind == "tandem":
+        half = m // 2
+        acgt = list(("ACGT" * m)[:half])
+        if acgt:
+            i = rng.randrange(half)
+            acgt[i] = "A" if acgt[i] == "T" else "T"
+        u = "".join(rng.choice("ACGT") for _ in range(40))
+        return "".join(acgt) + (u * (m // 40 + 1))[: m - half]
+    if kind == "td":
+        return _td_pattern()[:m]
     return "".join(rng.choice("ab" if kind == "binary" else "ACGT") for _ in range(m))
 
 
-BORDER_PATTERNS = ["a", "ab", "aab", "aba", "fib", "binary", "acgt"]
+BORDER_PATTERNS = ["a", "ab", "aab", "aba", "fib", "binary", "acgt", "tandem", "td"]
 
 
 def _read_order(m: int, order: str, rng: random.Random) -> list[int]:
     idx = list(range(m))
     if order == "descending":
         idx.reverse()
-    else:
+    elif order == "random":
         rng.shuffle(idx)
     return idx
 
@@ -412,7 +440,7 @@ class TestBorderStore:
         for i in _read_order(m, order, rng):
             assert store[i] == want[i], (p, i)
 
-    @pytest.mark.parametrize("order", ["random", "descending"])
+    @pytest.mark.parametrize("order", ["random", "descending", "ascending"])
     @pytest.mark.parametrize("kind", BORDER_PATTERNS)
     def test_long_patterns_at_the_default_recursion_limit(self, kind, order):
         assert sys.getrecursionlimit() <= 1000
