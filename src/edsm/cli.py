@@ -106,13 +106,20 @@ def cmd_search(args: argparse.Namespace) -> int:
     return 0 if positions else 1
 
 
+def _seed_density(args: argparse.Namespace) -> tuple[int, float]:
+    """--seed and --density, or their defaults 0 and 0.2."""
+    return (0 if args.seed is None else args.seed,
+            0.2 if args.density is None else args.density)
+
+
 def _write_td(args: argparse.Namespace) -> int:
     if args.n is None:
         raise ValueError("--n is required for td")
-    rng = random.Random(args.seed)
+    seed, density = _seed_density(args)
+    rng = random.Random(seed)
     n, s = args.n, 2 if args.s is None else args.s
     ra, rb, rc = (
-        _random_matrix(rng, n, args.density).to_lists() for _ in range(3)
+        _random_matrix(rng, n, density).to_lists() for _ in range(3)
     )
     if args.plant:
         i, j, k = (rng.randrange(n) + 1 for _ in range(3))
@@ -127,7 +134,7 @@ def _write_td(args: argparse.Namespace) -> int:
         "kind": "td",
         "n": n,
         "s": s,
-        "seed": args.seed,
+        "seed": seed,
         "a": a.to_lists(),
         "b": b.to_lists(),
         "c": c.to_lists(),
@@ -147,13 +154,18 @@ def _write_bmm(args: argparse.Namespace) -> int:
         n, l = 6, 3
         if (args.n, args.l) not in ((None, None), (6, 3)):
             raise ValueError("the demo instance is fixed at --n 6 --l 3")
+        if args.density is not None or args.seed is not None:
+            raise ValueError("the demo instance is fixed: --density and --seed "
+                             "do not apply to --paper-example")
+        seed = None
     else:
         if args.n is None or args.l is None:
             raise ValueError("--n and --l are required without --paper-example")
         n, l = args.n, args.l
-        rng = random.Random(args.seed)
-        a = _random_matrix(rng, n, args.density)
-        b = _random_matrix(rng, n, args.density)
+        seed, density = _seed_density(args)
+        rng = random.Random(seed)
+        a = _random_matrix(rng, n, density)
+        b = _random_matrix(rng, n, density)
     blocks = bmm_to_ap(a, b, l)
     expected = naive_bool_multiply(a, b).to_lists()
     instance = {
@@ -178,11 +190,12 @@ def _write_bmm(args: argparse.Namespace) -> int:
         "kind": "bmm",
         "n": n,
         "l": l,
-        "seed": args.seed,
         "a": a.to_lists(),
         "b": b.to_lists(),
         "expected_c": expected,
     }
+    if seed is not None:
+        sidecar["seed"] = seed
     _path(args.out, ".json").write_text(
         json.dumps(sidecar, sort_keys=True, indent=1) + "\n", encoding="utf-8"
     )
@@ -195,7 +208,7 @@ _FOREIGN_FLAGS = {"td": ("l", "paper_example"), "bmm": ("s", "plant")}
 
 
 def cmd_generate(args: argparse.Namespace) -> int:
-    if not 0 <= args.density <= 1:
+    if args.density is not None and not 0 <= args.density <= 1:
         raise ValueError(f"--density must be in [0, 1], not {args.density}")
     for name in _FOREIGN_FLAGS[args.flavor]:
         if getattr(args, name) not in (None, False):
@@ -296,12 +309,14 @@ def _build_parser() -> argparse.ArgumentParser:
     p_gen.add_argument("--s", type=int, default=None,
                        help="block parameter (td, default 2)")
     p_gen.add_argument("--l", type=int, default=None, help="block size (bmm)")
-    p_gen.add_argument("--density", type=float, default=0.2)
+    p_gen.add_argument("--density", type=float, default=None,
+                       help="chance of a one in a random matrix (default 0.2)")
     p_gen.add_argument("--plant", action="store_true",
                        help="plant a triangle (td only)")
     p_gen.add_argument("--paper-example", action="store_true",
                        help="emit the fixed 6x6 demo product instance (bmm only)")
-    p_gen.add_argument("--seed", type=int, default=0)
+    p_gen.add_argument("--seed", type=int, default=None,
+                       help="seed of the random matrices (default 0)")
     p_gen.add_argument("--out", required=True, help="output path prefix")
     p_gen.set_defaults(func=cmd_generate)
 

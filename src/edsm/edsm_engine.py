@@ -32,43 +32,61 @@ E[c] P's Shift-And mask for letter c (bit B + j set iff P[j] == c),
 padded with B one-bits on each side, M(s) is the AND over i of
 E[s[i]] >> (B - n + 1 + i), cut to m + n - 1 bits: SOPanG's letter step
 (Cisłak, Grabowski & Holub, 2018), run once per distinct alternative
-instead of once per letter of the text.  E[c] is made from one C
-translate of P the first time c occurs in such an alternative.  Then
-x = M & ((U << n) | (2^n - 1)) holds START below bit n, EXTEND on bits
-n..m-1 and END from bit m-1 up: U' gets x's low m bits, and the segment
-reports iff x >> (m - 1) != 0.  Past about B = 32 letters the mask costs
-more to make than the records below (a measured sweep fixed B).
+instead of once per letter of the text.  When a neighbour's mask is
+cached, one step gives M(s) instead:
+
+    M(s) = (E[s[0]] >> (B - n + 1)) & (M(s[1:]) | 1 << (m + n - 2))
+    M(s) = ((M(s[:-1]) << 1) | 1) & (E[s[-1]] >> B)
+
+(s[1:] placed past P's end, or s[:-1] before its start, overlaps no
+letter of P and so agrees: hence the extra bit).  Only masks of alternatives met are
+cached: caching every suffix on the way would charge an m-bit mask per
+letter, which on a long pattern costs more than the steps save.  E[c]
+is made from one C translate of P the first time c occurs in such an
+alternative.  Then x = M & ((U << n) | (2^n - 1)) holds START below bit
+n, EXTEND on bits n..m-1 and END from bit m-1 up: U' gets x's low m
+bits, and the segment reports iff x >> (m - 1) != 0.  Past about B = 32
+letters the mask costs more to make than the records below (a measured
+sweep fixed B).
 
 A longer alternative gets FULL and START when s is first seen, END the
-first time s meets U != 0.  START and END take the longest suffix of
+first time s meets U != 0.  START and END take q, the longest suffix of
 s[-m:] that is a prefix of P (resp. the longest prefix of s[:m-1] that
-is a suffix of P) from C string search, which steps over periodic
-stretches and falls back to a KMP loop when failed candidates pile up;
-the shorter lengths come from P's border chain, one periodic run of it
-at a time.  The chain is read from a border store (pf for P, pf_rev for
-P reversed) that finds an entry, the longest proper border of P[:i+1],
-by the same search on P[1:i+1] when it is first read: a search reads a
-few entries, so building an engine does no O(m) Python work, and a store
-whose reads scan more than BORDER_SCAN_BUDGET letters per letter of P
-fills itself by one KMP pass.  EXTEND for |s| < m tests each active
-length k with ``P.startswith(s, k)`` the first time s meets U != 0.
-From the second meeting on, s goes to the engine's APSolver, in one
-``solve`` call per segment, whose occurrence-mask kernel caches occ(s)
-and adds ((U << 1) & occ(s)) << (|s| - 1).  With an explicit
-``naive_cutoff``, members longer than the cutoff go to the same call
-from their first meeting on, and the solver sends them to its classed
-route, on either side of OVERLAP_MASK_MAX.
+is a suffix of P).  A q of 8 letters or more holds P[:8] (P[-8:]), so
+one ``find`` of it in s[-m:] (s[:m-1]) decides the route: on a hit, C
+string search finds q, stepping over periodic stretches and falling
+back to a KMP loop when failed candidates pile up; otherwise one
+compiled regular-expression search over the last (first, reversed) 7
+letters of s gives q < 8, and the engine keeps the START (END) masks of
+these eight lengths.  The shorter lengths come from P's border chain,
+one periodic run of it at a time.  The chain is read from a border
+store (pf for P, pf_rev for P reversed) that finds an entry, the
+longest proper border of P[:i+1], by the same search on P[1:i+1] when
+it is first read: a search reads a few entries, so building an engine
+does no O(m) Python work, and a store whose reads scan more than
+BORDER_SCAN_BUDGET letters per letter of P fills itself by one KMP
+pass.  EXTEND for |s| < m tests each active length k with
+``P.startswith(s, k)`` the first time s meets U != 0.  From the second
+meeting on, s goes to the engine's APSolver, in one ``solve`` call per
+segment, whose occurrence-mask kernel caches occ(s) and adds
+((U << 1) & occ(s)) << (|s| - 1).  With an explicit ``naive_cutoff``,
+members longer than the cutoff go to the same call from their first
+meeting on, and the solver sends them to its classed route, on either
+side of OVERLAP_MASK_MAX.
 
 Records and letter masks share one byte budget, and the masks are
-dropped whenever the records are.  The solver's occurrence masks have a
-budget of their own: records and occurrence masks together take at most
-the records budget plus the occurrence budget, each OCC_CACHE_BYTES.
+dropped whenever the records are; the sixteen short START and END masks
+stay outside it.  The solver's occurrence masks have a budget of their
+own: records and occurrence masks together take at most the records
+budget plus the occurrence budget, each OCC_CACHE_BYTES.
 """
 
 from __future__ import annotations
 
+import re
 from bisect import bisect_right
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import accumulate, islice
 from typing import Iterable
 
@@ -146,15 +164,13 @@ def _suffix_prefix_search(t: str, pat: str, pf) -> int | None:
     within d letters, as the root of P[:q] is primitive.  So the search
     resumes at k + e - d + 1, or earlier at the one start k + jd these
     rules leave open, and a periodic stretch costs one jump.  Suffixes
-    under 8 letters start at a copy of pat[0] among the last 7 letters.
-    If the failed starts still span more than 4|t| letters, the search
-    gives up; it also gives up outright when t is shorter than pat[:8]: a
-    few letters cost less in the KMP loop than in C calls.
+    under 8 letters are left to _short_suffixes(pat[:7]), one compiled
+    search over the last 7 letters of t, so a t shorter than pat[:8]
+    takes that search alone.  If the failed starts still span more than
+    4|t| letters, the search gives up.
     """
     n = len(t)
     head = pat[:8]
-    if n < len(head):
-        return None
     budget = 4 * n
     k = t.find(head)
     while k >= 0:
@@ -171,13 +187,24 @@ def _suffix_prefix_search(t: str, pat: str, pf) -> int | None:
         if e - j * d == q or k + e == n:
             resume = min(resume, k + j * d)
         k = t.find(head, resume)
-    first = pat[0]
-    k = t.find(first, n - len(head) + 1)
-    while k >= 0:
-        if pat.startswith(t[k:]):
-            return n - k
-        k = t.find(first, k + 1)
-    return 0
+    hit = _short_suffixes(pat[:7])(t, n - 7)
+    return n - hit.start() if hit else 0
+
+
+@lru_cache(maxsize=64)
+def _short_suffixes(head: str):
+    """The ``search`` method of the compiled pattern
+    head[0](?:head[1](?:...head[-1])?...)?\\Z, for head = pat[:7].
+
+    Its leftmost match in t, searched from position |t| - 7, is the
+    longest suffix of t under 8 letters that is a prefix of pat: the
+    match at k spells t[k:] = pat[:|t|-k].  The search jumps by C to
+    each copy of pat[0], so the answer costs one call.
+    """
+    rx = ""
+    for c in reversed(head):
+        rx = re.escape(c) + (f"(?:{rx})?" if rx else "")
+    return re.compile(rx + r"\Z").search
 
 
 def _border_runs(i: int, pf):
@@ -371,6 +398,14 @@ class EDSMEngine:
         # mask has fewer than 2m bits) and overhead.
         self._records = _RecordCache(OCC_CACHE_BYTES)
         self._entry_cost = 2 * (self.m // 8) + _ENTRY_OVERHEAD
+        # START and END of a long alternative: a suffix (prefix) of 8
+        # letters or more holds P's head (tail); shorter ones come from
+        # _short_suffixes, made on first use, and their masks are kept.
+        self._head = letters[:8]
+        self._tail = letters[-8:]
+        self._start_search = self._end_search = None
+        self._starts = {0: 0}
+        self._ends = {0: 0}
         # The segments of search's current window, and FULL of their
         # long alternatives once the window has scanned (see _full).
         self._window: list[Segment] | None = None
@@ -386,26 +421,57 @@ class EDSMEngine:
         if letters is None:
             letters = self._letters = _LetterMasks(self.rev, self._records)
         masks = letters.masks
-        # x ends as the AND over i of masks[s[i]] >> i.
-        x = -1
-        try:
-            for c in reversed(s):
-                x = masks[c] & (x >> 1)
-        except KeyError:
-            letters.add(s)
-            return self._overlap(s)
-        n = len(s)
-        x = (x >> (OVERLAP_MASK_MAX - n + 1)) & ((1 << (self.m + n - 1)) - 1)
-        self._records.put(s, x, n + self._entry_cost)
+        records = self._records
+        m, n = self.m, len(s)
+        x = None
+        if n > 1:
+            # One step from the mask of s[1:] or s[:-1], if cached (see
+            # the module docstring); s's new letter must have its mask.
+            near = records.get(s[1:])
+            if near is not None:
+                e = masks.get(s[0])
+                if e is not None:
+                    x = (e >> (OVERLAP_MASK_MAX - n + 1)) & (near | 1 << (m + n - 2))
+            else:
+                near = records.get(s[:-1])
+                if near is not None:
+                    e = masks.get(s[-1])
+                    if e is not None:
+                        x = ((near << 1) | 1) & (e >> OVERLAP_MASK_MAX)
+        if x is None:
+            # x ends as the AND over i of masks[s[i]] >> i.
+            x = -1
+            try:
+                for c in reversed(s):
+                    x = masks[c] & (x >> 1)
+            except KeyError:
+                # add may empty the records, neighbours too, but leaves
+                # every letter of s a mask: the second call finishes.
+                letters.add(s)
+                return self._overlap(s)
+            x = (x >> (OVERLAP_MASK_MAX - n + 1)) & ((1 << (m + n - 1)) - 1)
+        records.put(s, x, n + self._entry_cost)
         return x
 
     def _record(self, s: str) -> _Record:
-        m, p, pf = self.m, self.p, self.pf
-        start = 0
-        for low, d, count in _border_runs(_longest_suffix_prefix(s[-m:], p, pf), pf):
-            start |= _spaced_bits(d, count) << (low - 1)
-        rec = _Record(len(s) >= m and self._full(s), start)
-        self._records.put(s, rec, len(s) + self._entry_cost)
+        m, n = self.m, len(s)
+        if s.find(self._head, n - m if n > m else 0) < 0:
+            search = self._start_search
+            if search is None:
+                search = self._start_search = _short_suffixes(self.p[:7])
+            hit = search(s, n - 7)
+            q = n - hit.start() if hit else 0
+        else:
+            q = _longest_suffix_prefix(s[-m:], self.p, self.pf)
+        start = self._starts.get(q)
+        if start is None:
+            start = 0
+            for low, d, count in _border_runs(q, self.pf):
+                start |= _spaced_bits(d, count) << (low - 1)
+            if q < 8:
+                self._starts[q] = start
+        rec = _Record(n >= m and self._full(s), start)
+        self._records.put(s, rec, n + self._entry_cost)
         return rec
 
     def _full(self, s: str) -> bool:
@@ -442,11 +508,23 @@ class EDSMEngine:
 
     def _end(self, rec: _Record, s: str) -> int:
         """Bit m-q-1 for each q such that s starts with the last q letters of P."""
-        m, pf_rev = self.m, self.pf_rev
-        end = 0
-        q = _longest_suffix_prefix(s[: m - 1][::-1], self.rev, pf_rev)
-        for low, d, count in _border_runs(q, pf_rev):
-            end |= _spaced_bits(d, count) << (m - low - 1 - (count - 1) * d)
+        m = self.m
+        if s.find(self._tail, 0, m - 1) < 0:
+            search = self._end_search
+            if search is None:
+                search = self._end_search = _short_suffixes(self.rev[:7])
+            t = s[: min(m - 1, 7)][::-1]
+            hit = search(t)
+            q = len(t) - hit.start() if hit else 0
+        else:
+            q = _longest_suffix_prefix(s[: m - 1][::-1], self.rev, self.pf_rev)
+        end = self._ends.get(q)
+        if end is None:
+            end = 0
+            for low, d, count in _border_runs(q, self.pf_rev):
+                end |= _spaced_bits(d, count) << (m - low - 1 - (count - 1) * d)
+            if q < 8:
+                self._ends[q] = end
         rec.end = end
         return end
 

@@ -90,6 +90,9 @@ class TestGenerateVerify:
         ["td", "--n", "4", "--l", "2"],
         ["bmm", "--n", "4", "--l", "2", "--plant"],
         ["bmm", "--paper-example", "--s", "3"],
+        ["bmm", "--paper-example", "--density", "0.9"],
+        ["bmm", "--paper-example", "--seed", "5"],
+        ["bmm", "--paper-example", "--density", "0.2", "--seed", "0"],
     ])
     def test_bad_flags_exit_2_before_writing(self, tmp_path, capsys, flags):
         assert main(["generate", *flags, "--out", str(tmp_path / "x")]) == 2
@@ -104,6 +107,8 @@ class TestGenerateVerify:
         assert len(instance["blocks"]) == 4
         block11 = next(b for b in instance["blocks"] if (b["k"], b["j"]) == (1, 1))
         assert block11["strings"] == ["aba", "baaa"]
+        # The demo matrices are fixed, so the sidecar names no seed.
+        assert "seed" not in json.loads((tmp_path / "demo.json").read_text())
         capsys.readouterr()
         assert main(["verify", "--instance", str(out)]) == 0
 
@@ -111,6 +116,7 @@ class TestGenerateVerify:
         out = tmp_path / "bm"
         assert main(["generate", "bmm", "--n", "8", "--l", "4", "--seed", "3",
                      "--out", str(out)]) == 0
+        assert json.loads((tmp_path / "bm.json").read_text())["seed"] == 3
         assert main(["verify", "--instance", str(out)]) == 0
 
     def test_corrupt_sidecar_exits_3(self, tmp_path, capsys):

@@ -368,6 +368,80 @@ class TestSuffixPrefixScan:
         assert len(calls) == 1
 
 
+def _short_suffix(t: str, p: str) -> int:
+    """The longest suffix of t under 8 letters that is a prefix of p, by
+    the compiled search that _suffix_prefix_search, START and END share."""
+    hit = edsm_engine._short_suffixes(p[:7])(t, len(t) - 7)
+    return len(t) - hit.start() if hit else 0
+
+
+class TestShortSuffixes:
+    @given(st.sampled_from(["a", "ab", "random", "meta"]), st.sampled_from([1, 2, 7, 8, 9, 64]),
+           st.sampled_from(SCAN_TEXTS), st.integers(0, 2**32))
+    @settings(max_examples=400, deadline=None)
+    def test_compiled_search_matches_kmp(self, pkind, m, tkind, seed):
+        # meta: letters that re would read as syntax unless escaped.
+        rng = random.Random(seed)
+        if pkind == "meta":
+            p = "".join(rng.choice(".*+?()[]{}|^$\\\n\0a") for _ in range(m))
+        else:
+            p = _scan_pattern(pkind, m, rng)
+        pf = border_array(p)
+        for n in range(8):
+            t = p[:n] if pkind == "meta" else _scan_text(tkind, n, p, rng)
+            if pkind == "meta" and rng.random() < 0.5:
+                t = "".join(rng.choice(p + "x") for _ in range(n))
+            want = max(q for q in range(min(n, m) + 1) if t.endswith(p[:q]))
+            assert _short_suffix(t, p) == want, (p, t)
+            if n <= m:  # the KMP loop and the full search take |t| <= |p|
+                assert edsm_engine._kmp_state(t, p, pf) == want
+                assert edsm_engine._suffix_prefix_search(t, p, pf) == want
+                store = edsm_engine._BorderStore(p)
+                assert edsm_engine._suffix_prefix_search(t, p, store) == want
+
+    @pytest.mark.parametrize("m", [1, 2, 7, 8, 9, 64])
+    @pytest.mark.parametrize("pkind", ["a", "ab", "random"])
+    def test_memoized_start_end_masks(self, pkind, m):
+        # Long alternatives that end with P[:q] and start with P's last q
+        # letters, for every q < 8, fill both memos; each entry equals a
+        # fresh build from P's border chain, and each record the
+        # definition of START and END.
+        rng = random.Random(f"{pkind}/{m}")
+        p = _scan_pattern(pkind, m, rng)
+        engine = EDSMEngine(p)
+        segs = [Segment(frozenset({p}))]  # U = {m} from here on
+        for q in range(8):
+            for _ in range(3):
+                junk = "".join(rng.choice("abc\ue000") for _ in range(m + rng.randint(0, 9)))
+                segs.append(Segment(frozenset({junk + p[:q], p[m - q :] + junk if q < m else junk})))
+        state = engine.new_state()
+        got = []
+        for j, seg in enumerate(segs, 1):
+            state = engine.process_segment(state, seg, j)
+            got.append(set(state.u.ones()))
+            for s in seg.alternatives:
+                rec = engine._records.get(s)
+                if not isinstance(rec, edsm_engine._Record):
+                    continue
+                tail = s[-m:]
+                assert rec.start == sum(1 << (b - 1) for b in range(1, m + 1)
+                                        if tail.endswith(p[:b]))
+                if rec.end is not None:
+                    assert rec.end == sum(1 << (m - q - 1) for q in range(1, m)
+                                          if s.startswith(p[m - q :]))
+        assert got == brute_active_states(p, segs)
+        assert len(engine._starts) <= 8 and len(engine._ends) <= 8
+        assert set(range(min(m, 7) + 1)) <= engine._starts.keys()
+        assert set(range(min(m - 1, 7) + 1)) <= engine._ends.keys()
+        pf, pf_rev = border_array(p), border_array(p[::-1])
+        for q, start in engine._starts.items():
+            assert start == sum(edsm_engine._spaced_bits(d, count) << (low - 1)
+                                for low, d, count in edsm_engine._border_runs(q, pf))
+        for q, end in engine._ends.items():
+            assert end == sum(edsm_engine._spaced_bits(d, count) << (m - low - 1 - (count - 1) * d)
+                              for low, d, count in edsm_engine._border_runs(q, pf_rev))
+
+
 def _fibonacci(m: int) -> str:
     a, b = "b", "a"
     while len(b) < m:
@@ -756,6 +830,69 @@ class TestOverlapMasks:
         t = EDString(tuple(segs))
         assert tuple(sorted(state.reported)) == tuple(brute_edsm(p, t))
         assert state.reported
+
+    @pytest.mark.parametrize("m", [1, 5, 33, 64])
+    @pytest.mark.parametrize("alphabet", ["ACGT", "ab", "\ue000\ue001\ue002ab"])
+    def test_masks_from_neighbours_survive_budget_clears(self, alphabet, m):
+        # Each segment holds a piece of P or junk, with its one-letter-
+        # shorter neighbours s[1:] and s[:-1]; a budget of a few entries
+        # empties the records, letter masks too, while masks are made
+        # from neighbours met a segment earlier.
+        rng = random.Random(f"{alphabet}/{m}")
+        p = "".join(rng.choice(alphabet) for _ in range(m))
+
+        @functools.cache
+        def want(s):
+            n = len(s)
+            return sum(1 << (k + n - 1) for k in range(1 - n, m)
+                       if all(p[k + i] == s[i] for i in range(n) if 0 <= k + i < m))
+
+        segs = []
+        for _ in range(80):
+            n = rng.randint(2, OVERLAP_MASK_MAX)
+            if rng.random() < 0.5 and m > 1:
+                k = rng.randrange(m)
+                s = p[k : k + n]
+            else:
+                s = "".join(rng.choice(alphabet + "xy") for _ in range(n))
+            alts = {s[1:], s[:-1]} if rng.random() < 0.5 else {s}
+            if rng.random() < 0.2:
+                alts.add("")
+            segs.append(Segment(frozenset(alts)))
+            segs.append(Segment(frozenset({s, p[: rng.randint(1, m)]})))
+        t = EDString(tuple(segs))
+        states, positions = brute_active_states(p, segs), tuple(brute_edsm(p, t))
+        for budget in (200, 600, 1500):
+            engine = EDSMEngine(p)
+            records = engine._records
+            records.budget = budget
+            clears = 0
+            clear = records.clear
+
+            def counting():
+                nonlocal clears
+                clears += 1
+                clear()
+
+            records.clear = counting
+            state = engine.new_state()
+            got = []
+            for j, seg in enumerate(segs, 1):
+                state = engine.process_segment(state, seg, j)
+                got.append(set(state.u.ones()))
+                for s, mask in records.items():
+                    if isinstance(mask, int):
+                        assert mask == want(s), (p, s)
+            assert got == states
+            assert tuple(sorted(state.reported)) == positions
+            assert clears > 10
+        # A fresh engine's letter loop agrees with the definition too.
+        engine = EDSMEngine(p)
+        for seg in segs:
+            for s in seg.alternatives:
+                if 1 <= len(s) <= engine._short:
+                    engine._records.clear()
+                    assert engine._overlap(s) == want(s)
 
 
 class TestBudgetCache:
