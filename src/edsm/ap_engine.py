@@ -112,15 +112,13 @@ class _BudgetCache(dict):
         self.charge(cost)
         self[key] = value
 
-    def charge(self, cost: int) -> bool:
+    def charge(self, cost: int) -> None:
         """Count cost against the budget, emptying the cache first if it
-        would overflow; True iff it did."""
-        emptied = self.used + cost > self.budget
-        if emptied:
+        would overflow."""
+        if self.used + cost > self.budget:
             self.clear()
             self.used = 0
         self.used += cost
-        return emptied
 
 
 def occ_mask(p: str, s: str) -> int:
@@ -235,10 +233,9 @@ class APSolver:
     """Reusable Active Prefixes solver for one pattern."""
 
     def __init__(self, pattern: Pattern | str, naive_cutoff: int | None = None):
-        letters = pattern.letters if isinstance(pattern, Pattern) else pattern
-        self.pattern = Pattern(letters)
-        self.p = letters
-        self.m = len(letters)
+        self.pattern = pattern if isinstance(pattern, Pattern) else Pattern(pattern)
+        self.p = self.pattern.letters
+        self.m = self.pattern.m
         if naive_cutoff is None:
             # Every member shorter than P takes the occurrence-mask kernel.
             naive_cutoff = max(NAIVE_CUTOFF_BASE, self.m)

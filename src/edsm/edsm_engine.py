@@ -42,12 +42,12 @@ cached, one step gives M(s) instead:
 letter of P and so agrees: hence the extra bit).  Only masks of alternatives met are
 cached: caching every suffix on the way would charge an m-bit mask per
 letter, which on a long pattern costs more than the steps save.  E[c]
-is made from one C translate of P the first time c occurs in such an
-alternative.  Then x = M & ((U << n) | (2^n - 1)) holds START below bit
-n, EXTEND on bits n..m-1 and END from bit m-1 up: U' gets x's low m
-bits, and the segment reports iff x >> (m - 1) != 0.  Past about B = 32
-letters the mask costs more to make than the records below (a measured
-sweep fixed B).
+is made from one C translate of P the first time it is read, and is
+charged to the record budget then.  Then x = M & ((U << n) | (2^n - 1))
+holds START below bit n, EXTEND on bits n..m-1 and END from bit m-1 up:
+U' gets x's low m bits, and the segment reports iff x >> (m - 1) != 0.
+Past about B = 32 letters the mask costs more to make than the records
+below (a measured sweep fixed B).
 
 A longer alternative gets FULL and START when s is first seen, END the
 first time s meets U != 0.  START and END take q, the longest suffix of
@@ -65,10 +65,12 @@ longest proper border of P[:i+1], by the same search on P[1:i+1] when
 it is first read: a search reads a few entries, so building an engine
 does no O(m) Python work, and a store whose reads scan more than
 BORDER_SCAN_BUDGET letters per letter of P fills itself by one KMP
-pass.  EXTEND for |s| < m tests each active length k with
-``P.startswith(s, k)`` the first time s meets U != 0.  From the second
-meeting on, s goes to the engine's APSolver, in one ``solve`` call per
-segment, whose occurrence-mask kernel caches occ(s) and adds
+pass.  The store also keeps its direction's 8-letter head and the
+compiled search, made the first time either route needs it.  EXTEND
+for |s| < m tests each active length k with ``P.startswith(s, k)`` the
+first time s meets U != 0.  From the second meeting on, s goes to the
+engine's APSolver, in one ``solve`` call per segment, whose
+occurrence-mask kernel caches occ(s) and adds
 ((U << 1) & occ(s)) << (|s| - 1).  With an explicit ``naive_cutoff``,
 members longer than the cutoff go to the same call from their first
 meeting on, and the solver sends them to its classed route, on either
@@ -86,7 +88,7 @@ from __future__ import annotations
 import re
 from bisect import bisect_right
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property
 from itertools import accumulate, islice
 from typing import Iterable
 
@@ -113,12 +115,12 @@ BORDER_SCAN_BUDGET = 4
 BORDER_DEPTH_MAX = 16
 
 
-def _kmp_state(t: str, pat: str, pf) -> int:
-    """Length of the longest suffix of t that is a prefix of pat, for
-    |t| <= |pat|; pf is pat's border store (or its border array), of
-    which the loop reads the first |t| entries in order."""
-    if isinstance(pf, _BorderStore):
-        pf.fill(len(t))
+def _kmp_state(t: str, pf: _BorderStore) -> int:
+    """Length of the longest suffix of t that is a prefix of P = pf.p, for
+    |t| <= |P|; the loop reads the first |t| entries of P's border store
+    pf in order."""
+    pat = pf.p
+    pf.fill(len(t))
     q = 0
     for ch in t:
         while q and ch != pat[q]:
@@ -141,36 +143,35 @@ def _common_prefix(a: str, i: int, b: str, j: int) -> int:
     return lo
 
 
-def _longest_suffix_prefix(t: str, pat: str, pf) -> int:
-    """Same answer as _kmp_state(t, pat, pf), found by
-    _suffix_prefix_search or, when that leaves it to the KMP loop, by
-    _kmp_state."""
-    q = _suffix_prefix_search(t, pat, pf)
-    return _kmp_state(t, pat, pf) if q is None else q
+def _longest_suffix_prefix(t: str, pf: _BorderStore) -> int:
+    """Same answer as _kmp_state(t, pf), found by _suffix_prefix_search
+    or, when that leaves it to the KMP loop, by _kmp_state."""
+    q = _suffix_prefix_search(t, pf)
+    return _kmp_state(t, pf) if q is None else q
 
 
-def _suffix_prefix_search(t: str, pat: str, pf) -> int | None:
-    """Same answer as _kmp_state(t, pat, pf), found by C string search,
-    or None where the KMP loop should answer; pf is pat's border store
-    (or its border array), of which it reads only entries below |t| - 1.
+def _suffix_prefix_search(t: str, pf: _BorderStore) -> int | None:
+    """Same answer as _kmp_state(t, pf), found by C string search, or None
+    where the KMP loop should answer; of P's border store pf it reads
+    only entries below |t| - 1, and its head and short-suffix search.
 
-    A suffix of at least 8 letters starts where t holds pat[:8], and the
-    first start, left to right, whose suffix pat begins with gives the
+    A suffix of at least 8 letters starts where t holds P[:8], and the
+    first start, left to right, whose suffix P begins with gives the
     longest.  A failed start k also rules out later starts: t[k:] agrees
-    with pat on q letters, P[:q] has smallest period d, and t keeps
-    period d for e letters from k.  A start k + jd fails if pat breaks
-    the period first (e - jd > q) or t does (d <= e - jd < q, with t
-    going on after k + e); a start at another phase differs from pat
-    within d letters, as the root of P[:q] is primitive.  So the search
-    resumes at k + e - d + 1, or earlier at the one start k + jd these
-    rules leave open, and a periodic stretch costs one jump.  Suffixes
-    under 8 letters are left to _short_suffixes(pat[:7]), one compiled
-    search over the last 7 letters of t, so a t shorter than pat[:8]
-    takes that search alone.  If the failed starts still span more than
-    4|t| letters, the search gives up.
+    with P on q letters, P[:q] has smallest period d, and t keeps period
+    d for e letters from k.  A start k + jd fails if P breaks the period
+    first (e - jd > q) or t does (d <= e - jd < q, with t going on after
+    k + e); a start at another phase differs from P within d letters, as
+    the root of P[:q] is primitive.  So the search resumes at
+    k + e - d + 1, or earlier at the one start k + jd these rules leave
+    open, and a periodic stretch costs one jump.  Suffixes under 8
+    letters are left to pf.search, one compiled search over the last 7
+    letters of t, so a t shorter than P[:8] takes that search alone.  If
+    the failed starts still span more than 4|t| letters, the search
+    gives up.
     """
+    pat, head = pf.p, pf.head
     n = len(t)
-    head = pat[:8]
     budget = 4 * n
     k = t.find(head)
     while k >= 0:
@@ -187,24 +188,8 @@ def _suffix_prefix_search(t: str, pat: str, pf) -> int | None:
         if e - j * d == q or k + e == n:
             resume = min(resume, k + j * d)
         k = t.find(head, resume)
-    hit = _short_suffixes(pat[:7])(t, n - 7)
+    hit = pf.search(t, n - 7)
     return n - hit.start() if hit else 0
-
-
-@lru_cache(maxsize=64)
-def _short_suffixes(head: str):
-    """The ``search`` method of the compiled pattern
-    head[0](?:head[1](?:...head[-1])?...)?\\Z, for head = pat[:7].
-
-    Its leftmost match in t, searched from position |t| - 7, is the
-    longest suffix of t under 8 letters that is a prefix of pat: the
-    match at k spells t[k:] = pat[:|t|-k].  The search jumps by C to
-    each copy of pat[0], so the answer costs one call.
-    """
-    rx = ""
-    for c in reversed(head):
-        rx = re.escape(c) + (f"(?:{rx})?" if rx else "")
-    return re.compile(rx + r"\Z").search
 
 
 def _border_runs(i: int, pf):
@@ -233,7 +218,9 @@ def _spaced_bits(d: int, count: int) -> int:
 
 class _BorderStore(dict):
     """P's border array, entry i the longest proper border of P[:i+1],
-    with each entry found when it is first read and then kept.
+    with each entry found when it is first read and then kept; also P's
+    head P[:8] and its short-suffix search, which _suffix_prefix_search
+    reads beside the entries.
 
     A missing entry i is the longest suffix of P[1:i+1] that is a prefix
     of P: _suffix_prefix_search finds it by C string search, and its
@@ -249,9 +236,25 @@ class _BorderStore(dict):
     def __init__(self, p: str):
         super().__init__({0: 0})
         self.p = p
+        self.head = p[:8]
         self.known = 1  # entries below this are all stored
         self.budget = BORDER_SCAN_BUDGET * len(p)
         self.depth = 0
+
+    @cached_property
+    def search(self):
+        """The ``search`` method of the compiled pattern
+        P[0](?:P[1](?:...P[6])?...)?\\Z, made on first use.
+
+        Its leftmost match in t, searched from position |t| - 7, is the
+        longest suffix of t under 8 letters that is a prefix of P: the
+        match at k spells t[k:] = P[:|t|-k].  The search jumps by C to
+        each copy of P[0], so the answer costs one call.
+        """
+        rx = ""
+        for c in reversed(self.p[:7]):
+            rx = re.escape(c) + (f"(?:{rx})?" if rx else "")
+        return re.compile(rx + r"\Z").search
 
     def __missing__(self, i: int) -> int:
         p = self.p
@@ -263,7 +266,7 @@ class _BorderStore(dict):
             return self[i]
         self.depth += 1
         try:
-            b = _suffix_prefix_search(p[1 : i + 1], p, self)
+            b = _suffix_prefix_search(p[1 : i + 1], self)
         finally:
             self.depth -= 1
         if b is None:
@@ -288,53 +291,51 @@ class _BorderStore(dict):
         self.known = n
 
 
-class _RecordCache(_BudgetCache):
-    """The engine's records by alternative, and P's letter masks, which
-    are charged to the same budget and emptied with the records."""
-
-    def __init__(self, budget: int):
-        super().__init__(budget)
-        self.masks: dict[str, int] = {}
-
-    def clear(self) -> None:
-        super().clear()
-        self.masks.clear()
-
-
-class _LetterMasks:
-    """P's Shift-And masks for the letters seen so far: bit
+class _LetterMasks(dict):
+    """P's Shift-And masks, each made when its letter is first read: bit
     OVERLAP_MASK_MAX + j of masks[c] is set iff P[j] == c, and the
     OVERLAP_MASK_MAX bits on either side of P are set for every letter,
-    one absent from P too.  The masks live in the record cache, which
-    counts each against its budget."""
+    one absent from P too.  Each mask is charged to the record cache's
+    budget before it is stored, and the cache empties the masks with
+    its records."""
 
-    def __init__(self, rev: str, records: _RecordCache):
-        self.records = records
-        self.masks = records.masks
+    def __init__(self, rev: str, records: _BudgetCache):
+        super().__init__()
         self.rev = rev
-        # One C translate of P reversed spells a letter's mask in binary.
-        self.digits = dict.fromkeys(map(ord, set(rev)), "0")
+        self.records = records
+        # One C translate of P reversed spells a letter's mask in binary;
+        # the table is made on the first miss.
+        self.digits: dict[int, str] | None = None
         ones = (1 << OVERLAP_MASK_MAX) - 1
         self.pad = ones | ones << (OVERLAP_MASK_MAX + len(rev))
         self.cost = (len(rev) + 2 * OVERLAP_MASK_MAX) // 8 + _ENTRY_OVERHEAD
 
-    def add(self, s: str) -> None:
-        """Make the masks of the letters of s that have none yet."""
-        letters = set(s)
-        new = letters.difference(self.masks)
-        if self.records.charge(len(new) * self.cost):
-            # The cache overflowed and took every mask with it.
-            self.records.used += (len(letters) - len(new)) * self.cost
-            new = letters
+    def __missing__(self, c: str) -> int:
+        self.records.charge(self.cost)
         digits = self.digits
-        for c in new:
-            mask = self.pad
-            code = ord(c)
-            if code in digits:
-                digits[code] = "1"
-                mask |= int(self.rev.translate(digits), 2) << OVERLAP_MASK_MAX
-                digits[code] = "0"
-            self.masks[c] = mask
+        if digits is None:
+            digits = self.digits = dict.fromkeys(map(ord, set(self.rev)), "0")
+        mask = self.pad
+        code = ord(c)
+        if code in digits:
+            digits[code] = "1"
+            mask |= int(self.rev.translate(digits), 2) << OVERLAP_MASK_MAX
+            digits[code] = "0"
+        self[c] = mask
+        return mask
+
+
+class _RecordCache(_BudgetCache):
+    """The engine's records by alternative, and P's letter masks, which
+    are charged to the same budget and emptied with the records."""
+
+    def __init__(self, budget: int, rev: str):
+        super().__init__(budget)
+        self.masks = _LetterMasks(rev, self)
+
+    def clear(self) -> None:
+        super().clear()
+        self.masks.clear()
 
 
 class _Record:
@@ -383,9 +384,8 @@ class EDSMEngine:
     """Matcher for one pattern; feed segments through process_segment."""
 
     def __init__(self, pattern: Pattern | str, naive_cutoff: int | None = None):
-        letters = pattern.letters if isinstance(pattern, Pattern) else pattern
-        self.pattern = Pattern(letters)
-        self.p = letters
+        self.pattern = pattern if isinstance(pattern, Pattern) else Pattern(pattern)
+        letters = self.p = self.pattern.letters
         self.m = self.pattern.m
         self.rev = letters[::-1]
         self.pf = _BorderStore(letters)
@@ -393,17 +393,14 @@ class EDSMEngine:
         self.solver = APSolver(self.pattern, naive_cutoff)
         # Alternatives up to this length take the overlap-mask route.
         self._short = min(OVERLAP_MASK_MAX, self.solver.cutoff, self.m - 1)
-        self._letters: _LetterMasks | None = None
         # An entry costs its key's letters, two m-bit masks (an overlap
         # mask has fewer than 2m bits) and overhead.
-        self._records = _RecordCache(OCC_CACHE_BYTES)
+        self._records = _RecordCache(OCC_CACHE_BYTES, self.rev)
         self._entry_cost = 2 * (self.m // 8) + _ENTRY_OVERHEAD
         # START and END of a long alternative: a suffix (prefix) of 8
         # letters or more holds P's head (tail); shorter ones come from
-        # _short_suffixes, made on first use, and their masks are kept.
-        self._head = letters[:8]
+        # the search of pf (pf_rev), and their masks are kept.
         self._tail = letters[-8:]
-        self._start_search = self._end_search = None
         self._starts = {0: 0}
         self._ends = {0: 0}
         # The segments of search's current window, and FULL of their
@@ -417,56 +414,35 @@ class EDSMEngine:
     def _overlap(self, s: str) -> int:
         """M(s) for |s| <= self._short: bit k + |s| - 1 is set iff s agrees
         with P wherever they overlap when s is placed at offset k."""
-        letters = self._letters
-        if letters is None:
-            letters = self._letters = _LetterMasks(self.rev, self._records)
-        masks = letters.masks
         records = self._records
+        masks = records.masks
         m, n = self.m, len(s)
-        x = None
-        if n > 1:
-            # One step from the mask of s[1:] or s[:-1], if cached (see
-            # the module docstring); s's new letter must have its mask.
-            near = records.get(s[1:])
-            if near is not None:
-                e = masks.get(s[0])
-                if e is not None:
-                    x = (e >> (OVERLAP_MASK_MAX - n + 1)) & (near | 1 << (m + n - 2))
-            else:
-                near = records.get(s[:-1])
-                if near is not None:
-                    e = masks.get(s[-1])
-                    if e is not None:
-                        x = ((near << 1) | 1) & (e >> OVERLAP_MASK_MAX)
-        if x is None:
-            # x ends as the AND over i of masks[s[i]] >> i.
+        # One step from the mask of s[1:] or s[:-1], if cached (see the
+        # module docstring); else the AND over i of masks[s[i]] >> i.
+        if n > 1 and (near := records.get(s[1:])) is not None:
+            x = (masks[s[0]] >> (OVERLAP_MASK_MAX - n + 1)) & (near | 1 << (m + n - 2))
+        elif n > 1 and (near := records.get(s[:-1])) is not None:
+            x = ((near << 1) | 1) & (masks[s[-1]] >> OVERLAP_MASK_MAX)
+        else:
             x = -1
-            try:
-                for c in reversed(s):
-                    x = masks[c] & (x >> 1)
-            except KeyError:
-                # add may empty the records, neighbours too, but leaves
-                # every letter of s a mask: the second call finishes.
-                letters.add(s)
-                return self._overlap(s)
+            for c in reversed(s):
+                x = masks[c] & (x >> 1)
             x = (x >> (OVERLAP_MASK_MAX - n + 1)) & ((1 << (m + n - 1)) - 1)
         records.put(s, x, n + self._entry_cost)
         return x
 
     def _record(self, s: str) -> _Record:
         m, n = self.m, len(s)
-        if s.find(self._head, n - m if n > m else 0) < 0:
-            search = self._start_search
-            if search is None:
-                search = self._start_search = _short_suffixes(self.p[:7])
-            hit = search(s, n - 7)
+        pf = self.pf
+        if s.find(pf.head, n - m if n > m else 0) < 0:
+            hit = pf.search(s, n - 7)
             q = n - hit.start() if hit else 0
         else:
-            q = _longest_suffix_prefix(s[-m:], self.p, self.pf)
+            q = _longest_suffix_prefix(s[-m:], pf)
         start = self._starts.get(q)
         if start is None:
             start = 0
-            for low, d, count in _border_runs(q, self.pf):
+            for low, d, count in _border_runs(q, pf):
                 start |= _spaced_bits(d, count) << (low - 1)
             if q < 8:
                 self._starts[q] = start
@@ -508,20 +484,17 @@ class EDSMEngine:
 
     def _end(self, rec: _Record, s: str) -> int:
         """Bit m-q-1 for each q such that s starts with the last q letters of P."""
-        m = self.m
+        m, pf = self.m, self.pf_rev
         if s.find(self._tail, 0, m - 1) < 0:
-            search = self._end_search
-            if search is None:
-                search = self._end_search = _short_suffixes(self.rev[:7])
             t = s[: min(m - 1, 7)][::-1]
-            hit = search(t)
+            hit = pf.search(t)
             q = len(t) - hit.start() if hit else 0
         else:
-            q = _longest_suffix_prefix(s[: m - 1][::-1], self.rev, self.pf_rev)
+            q = _longest_suffix_prefix(s[: m - 1][::-1], pf)
         end = self._ends.get(q)
         if end is None:
             end = 0
-            for low, d, count in _border_runs(q, self.pf_rev):
+            for low, d, count in _border_runs(q, pf):
                 end |= _spaced_bits(d, count) << (m - low - 1 - (count - 1) * d)
             if q < 8:
                 self._ends[q] = end

@@ -1,6 +1,7 @@
 import functools
 import itertools
 import random
+import re
 import sys
 from unittest import mock
 
@@ -223,23 +224,24 @@ class TestBoundedScans:
         body = "".join(rng.choice("ab") for _ in range(10**5))
         assert p not in body
         # Prefix 10 is active before the first long alternative, which
-        # completes it (END) and ends with a prefix of P (START); the second
-        # one contains P (FULL).
+        # completes it (END) and ends with a prefix of P (START) of 12
+        # letters, so both take the long route; the second one contains P
+        # (FULL).
         segs = [Segment(frozenset({p[:10]})),
-                Segment(frozenset({p[10:] + body + p[:7], "ab"})),
+                Segment(frozenset({p[10:] + body + p[:12], "ab"})),
                 Segment(frozenset({body[:50_000] + p + body[50_000:]}))]
         scanned = []
         kmp_read = []
         scan = edsm_engine._longest_suffix_prefix
         kmp_state = edsm_engine._kmp_state
 
-        def recording_scan(t, pat, pf):
+        def recording_scan(t, pf):
             scanned.append(len(t))
-            return scan(t, pat, pf)
+            return scan(t, pf)
 
-        def recording_kmp(t, pat, pf):
+        def recording_kmp(t, pf):
             kmp_read.append(len(t))
-            return kmp_state(t, pat, pf)
+            return kmp_state(t, pf)
 
         monkeypatch.setattr(edsm_engine, "_longest_suffix_prefix", recording_scan)
         monkeypatch.setattr(edsm_engine, "_kmp_state", recording_kmp)
@@ -297,6 +299,11 @@ def _scan_text(kind: str, n: int, p: str, rng: random.Random) -> str:
     return "".join(rng.choice("ab\ue000") for _ in range(n))
 
 
+def _suffix_prefix(t: str, p: str) -> int:
+    """The longest suffix of t that is a prefix of p, by its definition."""
+    return max(q for q in range(min(len(t), len(p)) + 1) if t.endswith(p[:q]))
+
+
 SCAN_PATTERNS = ["a", "ab", "a..ab", "a8b", "run", "random"]
 SCAN_TEXTS = ["a", "ab", "a8c", "periodic", "ends-with-prefix", "rotation", "random"]
 
@@ -308,19 +315,18 @@ class TestSuffixPrefixScan:
     def test_matches_kmp(self, pkind, m, tkind, seed):
         rng = random.Random(seed)
         p = _scan_pattern(pkind, m, rng)
-        pf = border_array(p)
         for n in sorted({1, 7, 8, m - 1, m, rng.randint(0, m)}):
             if 0 <= n <= m:
                 t = _scan_text(tkind, n, p, rng)
-                got = edsm_engine._longest_suffix_prefix(t, p, pf)
-                assert got == edsm_engine._kmp_state(t, p, pf), (p, t)
-                store = edsm_engine._BorderStore(p)
-                assert edsm_engine._longest_suffix_prefix(t, p, store) == got
+                want = _suffix_prefix(t, p)
+                got = edsm_engine._longest_suffix_prefix(t, edsm_engine._BorderStore(p))
+                assert got == want, (p, t)
+                assert edsm_engine._kmp_state(t, edsm_engine._BorderStore(p)) == want
         # The reversed scan, as END runs it.
         rev = p[::-1]
         t = _scan_text(tkind, m - 1, p, rng)[::-1]
-        assert edsm_engine._longest_suffix_prefix(t, rev, border_array(rev)) == \
-            edsm_engine._kmp_state(t, rev, border_array(rev))
+        assert edsm_engine._longest_suffix_prefix(t, edsm_engine._BorderStore(rev)) == \
+            _suffix_prefix(t, rev)
 
     @given(st.sampled_from(SCAN_PATTERNS), st.integers(1, 60), st.integers(0, 2**32))
     @settings(max_examples=200, deadline=None)
@@ -344,34 +350,35 @@ class TestSuffixPrefixScan:
         calls = []
         kmp_state = edsm_engine._kmp_state
 
-        def counting(t, pat, pf):
+        def counting(t, pf):
             calls.append(len(t))
-            return kmp_state(t, pat, pf)
+            return kmp_state(t, pf)
 
         monkeypatch.setattr(edsm_engine, "_kmp_state", counting)
         scan = edsm_engine._longest_suffix_prefix
         m = 128
         p = "a" * 8 + "b" + "a" * (m - 9)
-        pf = border_array(p)
+        pf = edsm_engine._BorderStore(p)
         # Every start of a^m holds a^8 and fails after 8 letters; one jump
         # over the periodic stretch passes them all.
-        assert scan("a" * m, p, pf) == 8
+        assert scan("a" * m, pf) == 8 == _suffix_prefix("a" * m, p)
         rng = random.Random(28)
         q = "".join(rng.choice("ab") for _ in range(m))
         for n in (8, 20, m - 1, m):
             t = "".join(rng.choice("ab") for _ in range(n - 12)) + q[:12]
-            assert scan(t, q, border_array(q)) >= 12
+            assert scan(t, edsm_engine._BorderStore(q)) == _suffix_prefix(t, q) >= 12
         assert calls == []
         # (a^8 c)^k: a failed start every 9 letters, no period to jump.
         t = ("a" * 8 + "c") * 14 + "aa"
-        assert scan(t, p, pf) == 2
+        assert scan(t, pf) == 2
         assert len(calls) == 1
 
 
 def _short_suffix(t: str, p: str) -> int:
     """The longest suffix of t under 8 letters that is a prefix of p, by
-    the compiled search that _suffix_prefix_search, START and END share."""
-    hit = edsm_engine._short_suffixes(p[:7])(t, len(t) - 7)
+    the compiled search of p's border store, which _suffix_prefix_search
+    and START (END, on the reversed store) share."""
+    hit = edsm_engine._BorderStore(p).search(t, len(t) - 7)
     return len(t) - hit.start() if hit else 0
 
 
@@ -386,18 +393,15 @@ class TestShortSuffixes:
             p = "".join(rng.choice(".*+?()[]{}|^$\\\n\0a") for _ in range(m))
         else:
             p = _scan_pattern(pkind, m, rng)
-        pf = border_array(p)
         for n in range(8):
             t = p[:n] if pkind == "meta" else _scan_text(tkind, n, p, rng)
             if pkind == "meta" and rng.random() < 0.5:
                 t = "".join(rng.choice(p + "x") for _ in range(n))
-            want = max(q for q in range(min(n, m) + 1) if t.endswith(p[:q]))
+            want = _suffix_prefix(t, p)
             assert _short_suffix(t, p) == want, (p, t)
             if n <= m:  # the KMP loop and the full search take |t| <= |p|
-                assert edsm_engine._kmp_state(t, p, pf) == want
-                assert edsm_engine._suffix_prefix_search(t, p, pf) == want
-                store = edsm_engine._BorderStore(p)
-                assert edsm_engine._suffix_prefix_search(t, p, store) == want
+                assert edsm_engine._kmp_state(t, edsm_engine._BorderStore(p)) == want
+                assert edsm_engine._suffix_prefix_search(t, edsm_engine._BorderStore(p)) == want
 
     @pytest.mark.parametrize("m", [1, 2, 7, 8, 9, 64])
     @pytest.mark.parametrize("pkind", ["a", "ab", "random"])
@@ -534,10 +538,10 @@ class TestBorderStore:
         scanned = []
         scan = edsm_engine._suffix_prefix_search
 
-        def counting(t, pat, pf):
-            if pat is p:
+        def counting(t, pf):
+            if pf.p is p:
                 scanned.append(len(t))
-            return scan(t, pat, pf)
+            return scan(t, pf)
 
         monkeypatch.setattr(edsm_engine, "_suffix_prefix_search", counting)
         store = edsm_engine._BorderStore(p)
@@ -555,10 +559,10 @@ class TestBorderStore:
         passes = []
         kmp_state = edsm_engine._kmp_state
 
-        def recording(t, pat, pf):
-            if pat is p and p.startswith(t, 1):
+        def recording(t, pf):
+            if pf.p is p and p.startswith(t, 1):
                 passes.append(len(t))
-            return kmp_state(t, pat, pf)
+            return kmp_state(t, pf)
 
         monkeypatch.setattr(edsm_engine, "_kmp_state", recording)
         store = edsm_engine._BorderStore(p)
@@ -771,16 +775,17 @@ class TestOverlapMasks:
                                    ""}))]
         engine = EDSMEngine(p)
         assert engine.search(segs).positions == (2,)
-        assert engine._letters is None
+        masks = engine._records.masks
+        assert not masks and masks.digits is None
 
     def test_short_alternative_met_thrice_needs_no_string_search(self, monkeypatch):
         calls = _count_occ_masks(monkeypatch)
         scans = []
         scan = edsm_engine._longest_suffix_prefix
 
-        def counting(t, pat, pf):
+        def counting(t, pf):
             scans.append(t)
-            return scan(t, pat, pf)
+            return scan(t, pf)
 
         monkeypatch.setattr(edsm_engine, "_longest_suffix_prefix", counting)
         p = "abaabbabaaabab"
@@ -799,7 +804,7 @@ class TestOverlapMasks:
         segs = [Segment(frozenset({"a", "ab", "bc", "cab", ""}))] * 4
         engine = EDSMEngine(p)
         assert engine.search(segs).positions == ()
-        assert sorted(engine._letters.masks) == ["a", "b", "c"]
+        assert sorted(engine._records.masks) == ["a", "b", "c"]
 
 
     def test_letter_masks_are_charged_to_the_record_budget(self):
@@ -823,9 +828,9 @@ class TestOverlapMasks:
         for j, seg in enumerate(segs, 1):
             state = engine.process_segment(state, seg, j)
             got.append(set(state.u.ones()))
-            masks = engine._letters.masks
-            assert len(masks) * engine._letters.cost <= records.used <= records.budget
-        assert 6400 * engine._letters.cost > records.budget
+            masks = records.masks
+            assert len(masks) * masks.cost <= records.used <= records.budget
+        assert 6400 * records.masks.cost > records.budget
         assert got == brute_active_states(p, segs)
         t = EDString(tuple(segs))
         assert tuple(sorted(state.reported)) == tuple(brute_edsm(p, t))
@@ -883,6 +888,9 @@ class TestOverlapMasks:
                 for s, mask in records.items():
                     if isinstance(mask, int):
                         assert mask == want(s), (p, s)
+                # The budget counts exactly what the cache holds.
+                assert records.used == (sum(len(s) + engine._entry_cost for s in records)
+                                        + len(records.masks) * records.masks.cost)
             assert got == states
             assert tuple(sorted(state.reported)) == positions
             assert clears > 10
@@ -893,6 +901,69 @@ class TestOverlapMasks:
                 if 1 <= len(s) <= engine._short:
                     engine._records.clear()
                     assert engine._overlap(s) == want(s)
+
+
+class TestTablesOnFirstRead:
+    def test_building_an_engine_makes_no_table(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("re.compile called")
+
+        monkeypatch.setattr(edsm_engine.re, "compile", refuse)
+        engine = EDSMEngine("ACGT" * 4096)
+        masks = engine._records.masks
+        assert not masks and masks.digits is None
+        assert "search" not in vars(engine.pf) and "search" not in vars(engine.pf_rev)
+
+    def test_each_store_compiles_its_search_once(self, monkeypatch):
+        compiled = []
+        compile_ = re.compile
+
+        def counting(rx, *args):
+            compiled.append(rx)
+            return compile_(rx, *args)
+
+        monkeypatch.setattr(edsm_engine.re, "compile", counting)
+        rng = random.Random(36)
+        m = 40
+        p = "".join(rng.choice("ab") for _ in range(m))
+        # Long alternatives with and without P's head in their last m
+        # letters and its tail in their first m - 1, met while U != 0, so
+        # START and END take both the short search and the long route, and
+        # the long route reads border entries by the same search.
+        segs = [Segment(frozenset({p}))]
+        for _ in range(30):
+            junk = "".join(rng.choice("abc") for _ in range(m + rng.randint(0, 20)))
+            q = rng.randint(0, m - 1)
+            segs.append(Segment(frozenset({junk + p[:q], p[m - q :] + junk, p[: m - 1]})))
+        for _ in range(2):
+            engine = EDSMEngine(p)
+            got, reported = _states(engine, segs)
+            assert got == brute_active_states(p, segs)
+            assert reported == tuple(brute_edsm(p, EDString(tuple(segs))))
+            assert "search" in vars(engine.pf) and "search" in vars(engine.pf_rev)
+            assert len(engine.pf) > 1 and len(engine.pf_rev) > 1
+        assert len(compiled) == 4  # one per store, two stores per engine
+        assert compiled[0] != compiled[1]
+
+    def test_a_pattern_is_validated_once(self, monkeypatch):
+        checks = []
+        check = Pattern.__post_init__
+
+        def counting(self):
+            checks.append(self.letters)
+            check(self)
+
+        monkeypatch.setattr(Pattern, "__post_init__", counting)
+        pattern = Pattern("GTAT")
+        engine = EDSMEngine(pattern)
+        assert engine.pattern is pattern and engine.solver.pattern is pattern
+        assert search(pattern, parse_eds(EXAMPLE_TEXT)).positions == (2, 6, 7)
+        assert checks == ["GTAT"]
+        engine = EDSMEngine("GTAT")
+        assert engine.solver.pattern is engine.pattern
+        assert checks == ["GTAT"] * 2
+        with pytest.raises(ValueError):
+            EDSMEngine("GT;AT")
 
 
 class TestBudgetCache:
